@@ -14,7 +14,7 @@
 //! unforked weak branch steers the whole rest of the region down a
 //! single (often wrong) subtree, not just one trace.
 
-use crate::par_sweep::{effective_jobs, par_map, run_cells, SweepCell};
+use crate::par_sweep::{effective_jobs, expect_stats, par_map, run_cells, RunOptions, SweepCell};
 use crate::report::{f1, markdown_table};
 use crate::runner::RunParams;
 use std::sync::Arc;
@@ -93,7 +93,11 @@ pub fn run(params: RunParams) -> Vec<BiasRow> {
                 .map(|config| SweepCell::new(program.clone(), config.clone()))
         })
         .collect();
-    let stats = run_cells(&cells, params);
+    let stats = expect_stats(run_cells(
+        &cells,
+        params,
+        &RunOptions::new(effective_jobs(params.jobs)),
+    ));
 
     BIAS_POINTS
         .iter()

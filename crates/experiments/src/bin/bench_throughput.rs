@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use tpc_experiments::{
-    available_cores, exact_jobs, par_map, run_cells_timed_jobs, simulate, RunParams, SweepCell,
+    available_cores, exact_jobs, par_map, run_cells, simulate, RunOptions, RunParams, SweepCell,
 };
 use tpc_processor::SimConfig;
 use tpc_workloads::{Benchmark, WorkloadBuilder};
@@ -107,14 +107,15 @@ fn main() {
     let run_grid = |jobs: u64| {
         let p = RunParams { jobs, ..params };
         let t = Instant::now();
-        let timed = run_cells_timed_jobs(&sweep_cells, p, exact_jobs(jobs));
+        let runs = run_cells(&sweep_cells, p, &RunOptions::new(exact_jobs(jobs)));
         let wall = t.elapsed().as_secs_f64();
-        let (stats, cell_ms): (Vec<_>, Vec<f64>) = timed.into_iter().unzip();
+        let (stats, cell_ms): (Vec<_>, Vec<f64>) =
+            runs.into_iter().map(|run| (run.result, run.ms)).unzip();
         (wall, stats, cell_ms)
     };
     let (serial_secs, serial_stats, serial_cell_ms) = run_grid(1);
     let (parallel_secs, parallel_stats, parallel_cell_ms) = run_grid(4);
-    let identical = serial_stats == parallel_stats;
+    let identical = serial_stats == parallel_stats && serial_stats.iter().all(Result::is_ok);
     let speedup_wall = serial_secs / parallel_secs.max(1e-9);
     let cells = sweep_cells.len();
     let cores = available_cores();
@@ -153,7 +154,9 @@ fn main() {
         }
     );
     if !identical {
-        eprintln!("bench_throughput: parallel sweep diverged from serial results");
+        eprintln!(
+            "bench_throughput: a cell failed or the parallel sweep diverged from serial results"
+        );
         std::process::exit(1);
     }
 

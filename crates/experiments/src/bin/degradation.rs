@@ -5,12 +5,12 @@
 //! [--warmup N] [--measure N] [--seed N] [--jobs N] [--quick]
 //! [--checkpoint PATH]`
 //!
-//! With `--checkpoint`, completed cells stream to a JSONL file and an
-//! interrupted sweep resumes from it, producing byte-identical output
-//! (the file identifies its sweep by fingerprint; a stale file from
-//! different parameters is rejected). Exit codes: 0 = all cells ran,
-//! 1 = one or more cells failed (reported in the table), 2 = usage or
-//! checkpoint error.
+//! With `--checkpoint`, completed cells stream to a result-store file
+//! (keyed by each cell's content fingerprint) and an interrupted sweep
+//! resumes from it, producing byte-identical output; cells recorded by
+//! a sweep with other parameters are simply not found. Exit codes:
+//! 0 = all cells ran, 1 = one or more cells failed (reported in the
+//! table), 2 = usage or checkpoint error.
 
 use std::path::PathBuf;
 use tpc_experiments::{degradation, CellBudget, RunParams};

@@ -11,19 +11,18 @@
 //! no-preconstruction baseline, never a cliff and never a wedge.
 //!
 //! The sweep runs hardened: per-cell panic containment and cycle
-//! watchdogs ([`crate::par_sweep::run_cells_checked`]), and optional
-//! JSONL checkpoint/resume ([`crate::checkpoint`]) for interrupted
-//! grids. Rendered output is derived from exact integer counters
-//! only (no wall-clock), so a resumed sweep prints byte-identical
-//! results.
+//! watchdogs ([`crate::par_sweep::run_cells`]), and optional
+//! checkpoint/resume through the content-addressed result store
+//! ([`crate::store`]) for interrupted grids. Rendered output is
+//! derived from exact integer counters only (no wall-clock), so a
+//! resumed sweep prints byte-identical results.
 
-use crate::checkpoint::{sweep_fingerprint, SweepCheckpoint};
 use crate::par_sweep::{
-    effective_jobs, par_map, run_cells_checked, run_cells_resumable, CellBudget, CellError,
-    SweepCell,
+    effective_jobs, par_map, run_cells, CellBudget, CellError, RunOptions, SweepCell,
 };
 use crate::report::{f2, markdown_table};
 use crate::runner::RunParams;
+use crate::store::{cell_fingerprint, ResultCache};
 use std::path::Path;
 use std::sync::Arc;
 use tpc_core::FaultPlan;
@@ -61,29 +60,36 @@ pub fn config_at(per_mille: u32) -> SimConfig {
 
 /// Builds the benchmark × intensity cell grid, benchmark-major
 /// (`cells[b * INTENSITIES.len() + i]`), generating each benchmark's
-/// program once.
+/// program once. Every cell is keyed by its [`cell_fingerprint`].
 pub fn build_cells(benchmarks: &[Benchmark], params: RunParams) -> Vec<SweepCell> {
     let programs: Vec<Arc<Program>> = par_map(benchmarks, effective_jobs(params.jobs), |&b| {
         Arc::new(WorkloadBuilder::new(b).seed(params.seed).build())
     });
-    programs
+    benchmarks
         .iter()
-        .flat_map(|p| {
-            INTENSITIES
-                .iter()
-                .map(|&pm| SweepCell::new(Arc::clone(p), config_at(pm)))
+        .zip(&programs)
+        .flat_map(|(b, p)| {
+            INTENSITIES.iter().map(move |&pm| {
+                let config = config_at(pm);
+                SweepCell {
+                    key: Some(cell_fingerprint(b.name(), &config, &params)),
+                    ..SweepCell::new(Arc::clone(p), config)
+                }
+            })
         })
         .collect()
 }
 
-/// Runs the degradation sweep, optionally checkpointed to
-/// `checkpoint` (resuming any cells already recorded there).
+/// Runs the degradation sweep, optionally checkpointed to the
+/// result store at `checkpoint`: cells already recorded there are not
+/// re-run, and each fresh cell is recorded as it finishes.
 ///
 /// # Errors
 ///
-/// Only checkpoint *opening* can fail (I/O, or a stale file from a
-/// different sweep). Per-cell failures — panics, watchdog timeouts,
-/// checkpoint append errors — are carried in the rows.
+/// Only opening the store can fail (I/O, or a file that is not a
+/// result store). Per-cell failures — panics, watchdog timeouts — are
+/// carried in the rows; a failed store append only costs that cell's
+/// memoization.
 pub fn run(
     benchmarks: &[Benchmark],
     params: RunParams,
@@ -91,22 +97,20 @@ pub fn run(
     checkpoint: Option<&Path>,
 ) -> std::io::Result<Vec<DegradationRow>> {
     let cells = build_cells(benchmarks, params);
-    let results = match checkpoint {
-        Some(path) => {
-            let fp = sweep_fingerprint(&params, &cells);
-            let (ck, prior) = SweepCheckpoint::open(path, fp, cells.len())?;
-            run_cells_resumable(&cells, params, budget, Some(&ck), &prior)
-        }
-        None => run_cells_checked(&cells, params, budget),
+    let store = checkpoint.map(ResultCache::open).transpose()?;
+    let opts = RunOptions {
+        budget,
+        store: store.as_ref(),
+        ..RunOptions::new(effective_jobs(params.jobs))
     };
     Ok(benchmarks
         .iter()
         .flat_map(|&benchmark| INTENSITIES.iter().map(move |&pm| (benchmark, pm)))
-        .zip(results)
-        .map(|((benchmark, per_mille), result)| DegradationRow {
+        .zip(run_cells(&cells, params, &opts))
+        .map(|((benchmark, per_mille), run)| DegradationRow {
             benchmark,
             per_mille,
-            result,
+            result: run.result,
         })
         .collect())
 }
@@ -236,6 +240,7 @@ mod tests {
         // ...interrupt it by dropping the last few recorded lines...
         let text = std::fs::read_to_string(&path).unwrap();
         let keep: Vec<&str> = text.lines().take(4).collect(); // header + 3 cells
+        assert!(text.lines().count() > 4, "every cell was recorded");
         std::fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
         // ...and resume: remaining cells re-run, output identical.
         let resumed = run(&benchmarks, params, budget, Some(&path)).unwrap();

@@ -20,13 +20,17 @@
 //! The [`coverage`] module (binary `analysis_report`) sits alongside
 //! the paper artifacts: it compares the static analyzer's trace
 //! enumeration against the dynamic trace working set per benchmark.
+//!
+//! Every grid runs through [`run_cells`] ([`par_sweep`]); results can
+//! be memoized in the content-addressed [`ResultCache`] ([`store`]),
+//! which the `degradation` binary's `--checkpoint` resume and the
+//! `tpc-service` daemon share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod bias_sweep;
-pub mod checkpoint;
 pub mod coverage;
 pub mod cpi_stack;
 pub mod degradation;
@@ -37,15 +41,13 @@ pub mod par_sweep;
 pub mod predictors;
 pub mod report;
 pub mod runner;
+pub mod store;
 pub mod tables;
 pub mod workload_stats;
 
-pub use checkpoint::{
-    encode_keyed_words, parse_keyed_words, sweep_fingerprint, Fnv64, SweepCheckpoint,
-};
 pub use par_sweep::{
-    available_cores, contain_cell, effective_jobs, exact_jobs, par_map, par_try_map, run_cells,
-    run_cells_checked, run_cells_resumable, run_cells_timed, run_cells_timed_jobs, sweep_grid,
-    CellBudget, CellError, SweepCell,
+    available_cores, effective_jobs, exact_jobs, par_map, par_try_map, run_cells, sweep_grid,
+    CellBudget, CellError, CellRun, RunOptions, SweepCell,
 };
 pub use runner::{simulate, simulate_many, simulate_source, RunParams};
+pub use store::{cell_fingerprint, CacheStats, Fnv64, ResultCache};

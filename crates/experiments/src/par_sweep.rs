@@ -16,12 +16,19 @@
 //! Workers pull cell indices from a shared atomic counter, so uneven
 //! cell costs (a 1024-entry unified store vs a 64-entry baseline)
 //! load-balance naturally.
+//!
+//! [`run_cells`] is the one way to run a grid: every figure, the
+//! resumable degradation sweep, `bench_throughput` and the
+//! `tpc-service` daemon call it, differing only in their
+//! [`RunOptions`] (worker count, watchdog, result store, completion
+//! callback).
 
-use crate::checkpoint::SweepCheckpoint;
 use crate::runner::RunParams;
+use crate::store::ResultCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use tpc_isa::Program;
 use tpc_processor::{BudgetExceeded, SimConfig, SimStats, Simulator};
 use tpc_workloads::{Benchmark, WorkloadBuilder};
@@ -46,11 +53,6 @@ pub enum CellError {
         /// Instructions retired by then.
         retired: u64,
     },
-    /// Recording the cell's result to the checkpoint file failed.
-    Checkpoint {
-        /// The underlying I/O error.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for CellError {
@@ -61,38 +63,17 @@ impl std::fmt::Display for CellError {
                 f,
                 "cell timed out: {cycles} cycles with only {retired} instructions retired"
             ),
-            CellError::Checkpoint { message } => write!(f, "checkpoint write failed: {message}"),
         }
     }
 }
 
 impl CellError {
-    /// Whether a supervisor may usefully re-run the cell.
-    ///
-    /// * [`CellError::Panic`] — retryable: the panic may be chaos- or
-    ///   environment-induced (a poisoned worker, an injected fault);
-    ///   a deterministic config assertion will simply fail again and
-    ///   exhaust the bounded attempt budget.
-    /// * [`CellError::Timeout`] — retryable: the cycle watchdog is
-    ///   deterministic, but a supervisor may re-run under a larger
-    ///   budget, and chaos harnesses starve budgets transiently.
-    /// * [`CellError::Checkpoint`] — **not** retryable: a checkpoint
-    ///   that belongs to a different sweep (bad fingerprint) or a
-    ///   dead cache file will not heal by re-simulating the cell.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            CellError::Panic { .. } | CellError::Timeout { .. } => true,
-            CellError::Checkpoint { .. } => false,
-        }
-    }
-
-    /// Short machine-readable kind tag (`panic` / `timeout` /
-    /// `checkpoint`), used by error manifests.
+    /// Short machine-readable kind tag (`panic` / `timeout`), used
+    /// by error manifests.
     pub fn kind(&self) -> &'static str {
         match self {
             CellError::Panic { .. } => "panic",
             CellError::Timeout { .. } => "timeout",
-            CellError::Checkpoint { .. } => "checkpoint",
         }
     }
 }
@@ -155,10 +136,8 @@ pub fn exact_jobs(requested: u64) -> usize {
 }
 
 /// Runs `f` with panic containment: a panic becomes that cell's
-/// [`CellError::Panic`] instead of unwinding into the caller. This is
-/// the single containment point shared by [`par_try_map`] workers and
-/// the `tpc-service` supervisor.
-pub fn contain_cell<R>(f: impl FnOnce() -> Result<R, CellError>) -> Result<R, CellError> {
+/// [`CellError::Panic`] instead of unwinding into the caller.
+fn contain_cell<R>(f: impl FnOnce() -> Result<R, CellError>) -> Result<R, CellError> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         Err(CellError::Panic {
             message: panic_message(payload),
@@ -262,65 +241,21 @@ pub struct SweepCell {
     pub program: Arc<Program>,
     /// The configuration to simulate it under.
     pub config: SimConfig,
-    /// Identifier of the frontend that produced `program` (see
-    /// [`tpc_exec::FrontendSource::id`]); recorded in benchmark
-    /// output and hashed into checkpoint fingerprints so results
-    /// from different frontends are never conflated.
-    pub frontend: &'static str,
+    /// The cell's [`cell_fingerprint`](crate::store::cell_fingerprint)
+    /// in the sweep's result store; `None` keeps the cell out of the
+    /// store (never looked up, never memoized).
+    pub key: Option<u64>,
 }
 
 impl SweepCell {
-    /// Creates a cell for a synthetic (generated) workload.
+    /// Creates a cell outside any result store.
     pub fn new(program: Arc<Program>, config: SimConfig) -> Self {
-        SweepCell::tagged(program, config, "synthetic")
-    }
-
-    /// Creates a cell whose program came from another frontend
-    /// (e.g. `"asm"` for a loaded `.asm` file).
-    pub fn tagged(program: Arc<Program>, config: SimConfig, frontend: &'static str) -> Self {
         SweepCell {
             program,
             config,
-            frontend,
+            key: None,
         }
     }
-}
-
-/// Runs every cell with `params`' warm-up/measure window, fanning out
-/// across `params.jobs` threads. Results are in cell order.
-pub fn run_cells(cells: &[SweepCell], params: RunParams) -> Vec<SimStats> {
-    run_cells_timed(cells, params)
-        .into_iter()
-        .map(|(stats, _)| stats)
-        .collect()
-}
-
-/// Like [`run_cells`], but also reports each cell's wall time in
-/// milliseconds (measured on the worker that ran it).
-///
-/// The per-cell breakdown separates the two ways a sweep can be slow:
-/// uneven cell costs (one expensive configuration dominating the
-/// critical path) versus scheduling overhead (the *sum* of cell times
-/// growing when `jobs` exceeds the available cores and threads
-/// time-slice against each other). `bench_throughput` records both.
-pub fn run_cells_timed(cells: &[SweepCell], params: RunParams) -> Vec<(SimStats, f64)> {
-    run_cells_timed_jobs(cells, params, effective_jobs(params.jobs))
-}
-
-/// [`run_cells_timed`] with an explicit worker count that bypasses
-/// the core clamp — pair with [`exact_jobs`] when oversubscription is
-/// the thing being measured.
-pub fn run_cells_timed_jobs(
-    cells: &[SweepCell],
-    params: RunParams,
-    jobs: usize,
-) -> Vec<(SimStats, f64)> {
-    par_map(cells, jobs, |cell| {
-        let t = std::time::Instant::now();
-        let mut sim = Simulator::new(&cell.program, cell.config.clone());
-        let stats = sim.run_with_warmup(params.warmup, params.measure);
-        (stats, t.elapsed().as_secs_f64() * 1e3)
-    })
 }
 
 /// Per-cell cycle watchdog budget: a cell may spend at most
@@ -354,61 +289,140 @@ impl CellBudget {
     }
 }
 
-/// Hardened variant of [`run_cells`]: panics are contained to the
-/// cell that raised them ([`CellError::Panic`]), and each cell runs
-/// under `budget`'s cycle watchdog ([`CellError::Timeout`]). The
-/// other cells' results are unaffected by any failure.
-pub fn run_cells_checked(
-    cells: &[SweepCell],
-    params: RunParams,
-    budget: CellBudget,
-) -> Vec<Result<SimStats, CellError>> {
-    run_cells_resumable(cells, params, budget, None, &[])
+/// A per-cell completion callback: grid index and outcome.
+type OnDone<'a> = &'a (dyn Fn(usize, &CellRun) + Sync);
+
+/// How [`run_cells`] runs a sweep.
+#[derive(Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// Worker threads, already resolved (see [`effective_jobs`] and
+    /// [`exact_jobs`]).
+    pub jobs: usize,
+    /// Per-cell cycle watchdog.
+    pub budget: CellBudget,
+    /// Result store: keyed cells are looked up first, and each fresh
+    /// result is inserted as soon as its worker finishes.
+    pub store: Option<&'a ResultCache>,
+    /// Called once per cell with its grid index as it resolves —
+    /// store hits first, in grid order, then fresh cells in
+    /// completion order, from the worker that ran them.
+    pub on_done: Option<OnDone<'a>>,
 }
 
-/// Like [`run_cells_checked`], with JSONL checkpoint/resume: cells
-/// already present in `prior` (loaded by
-/// [`SweepCheckpoint::open`](crate::checkpoint::SweepCheckpoint::open))
-/// are returned as-is without re-simulation, and each freshly
-/// completed cell is appended to `checkpoint` the moment its worker
-/// finishes — so an interrupted sweep loses at most the in-flight
-/// cells.
+impl RunOptions<'_> {
+    /// `jobs` workers, the default watchdog, no store, no callback.
+    pub fn new(jobs: usize) -> Self {
+        RunOptions {
+            jobs,
+            budget: CellBudget::default(),
+            store: None,
+            on_done: None,
+        }
+    }
+}
+
+/// How one cell of a [`run_cells`] sweep ended.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellRun {
+    /// The measured statistics, or why the cell failed.
+    pub result: Result<SimStats, CellError>,
+    /// Wall milliseconds the cell's worker spent simulating it (0
+    /// when it came from the store).
+    pub ms: f64,
+    /// Served from the result store.
+    pub cached: bool,
+}
+
+/// Runs every cell with `params`' warm-up/measure window and returns
+/// each cell's outcome in cell order — the one sweep entry point.
 ///
-/// Simulations are deterministic and checkpoints store exact integer
-/// counters, so a resumed sweep's final results are bit-identical to
-/// an uninterrupted one.
-pub fn run_cells_resumable(
-    cells: &[SweepCell],
-    params: RunParams,
-    budget: CellBudget,
-    checkpoint: Option<&SweepCheckpoint>,
-    prior: &[Option<SimStats>],
-) -> Vec<Result<SimStats, CellError>> {
-    let todo: Vec<(usize, &SweepCell)> = cells
+/// Keyed cells found in `opts.store` are answered first without
+/// simulating. The misses run on `opts.jobs` workers (`params.jobs`
+/// is not consulted), each under panic containment
+/// ([`CellError::Panic`]) and `opts.budget`'s cycle watchdog
+/// ([`CellError::Timeout`]); a failing cell never affects the others.
+/// Each fresh result is inserted into the store the moment it
+/// finishes, so an interrupted sweep loses at most its in-flight
+/// cells; a failed insert is counted in the store's
+/// [`insert_failures`](crate::store::CacheStats::insert_failures) and
+/// the result is still returned.
+///
+/// Simulations are deterministic and the store holds exact integer
+/// counters, so the results are bit-identical whatever the thread
+/// count and whichever cells came from the store.
+pub fn run_cells(cells: &[SweepCell], params: RunParams, opts: &RunOptions<'_>) -> Vec<CellRun> {
+    let notify = |i: usize, run: &CellRun| {
+        if let Some(f) = opts.on_done {
+            f(i, run);
+        }
+    };
+    let stored = |cell: &SweepCell| opts.store.zip(cell.key);
+    let mut runs: Vec<Option<CellRun>> = cells
         .iter()
         .enumerate()
-        .filter(|(i, _)| prior.get(*i).is_none_or(|p| p.is_none()))
+        .map(|(i, cell)| {
+            let (store, key) = stored(cell)?;
+            let run = CellRun {
+                result: Ok(store.lookup(key)?),
+                ms: 0.0,
+                cached: true,
+            };
+            notify(i, &run);
+            Some(run)
+        })
         .collect();
-    let max = budget.max_cycles(params.warmup + params.measure);
-    let fresh = par_try_map(&todo, effective_jobs(params.jobs), |&(i, cell)| {
-        let mut sim = Simulator::new(&cell.program, cell.config.clone());
-        sim.run_budgeted(params.warmup, max)?;
-        sim.reset_stats();
-        let stats = sim.run_budgeted(params.measure, max)?;
-        if let Some(ck) = checkpoint {
-            ck.record(i, &stats).map_err(|e| CellError::Checkpoint {
-                message: e.to_string(),
-            })?;
+    let misses: Vec<usize> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, run)| run.is_none().then_some(i))
+        .collect();
+    let max_cycles = opts.budget.max_cycles(params.warmup + params.measure);
+    let fresh = par_try_map(&misses, opts.jobs, |&i| {
+        // bound: misses holds indices of cells
+        let cell = &cells[i];
+        let t = Instant::now();
+        let result = contain_cell(|| {
+            let mut sim = Simulator::new(&cell.program, cell.config.clone());
+            sim.run_budgeted(params.warmup, max_cycles)?;
+            sim.reset_stats();
+            Ok(sim.run_budgeted(params.measure, max_cycles)?)
+        });
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        if let (Ok(stats), Some((store, key))) = (&result, stored(cell)) {
+            // A failed insert is counted by the store; the result
+            // stands.
+            let _ = store.insert(key, stats);
         }
-        Ok(stats)
+        let run = CellRun {
+            result,
+            ms,
+            cached: false,
+        };
+        notify(i, &run);
+        Ok(run)
     });
-    let mut fresh_iter = fresh.into_iter();
-    (0..cells.len())
-        .map(|i| match prior.get(i).and_then(Clone::clone) {
-            Some(stats) => Ok(stats),
-            None => fresh_iter
-                .next()
-                .expect("one fresh result per cell missing from the checkpoint"),
+    for (i, run) in misses.into_iter().zip(fresh) {
+        // bound: misses holds indices of cells
+        runs[i] = Some(run.unwrap_or_else(|error| CellRun {
+            result: Err(error),
+            ms: 0.0,
+            cached: false,
+        }));
+    }
+    runs.into_iter().flatten().collect()
+}
+
+/// The statistics of a sweep whose cells must all succeed.
+///
+/// # Panics
+///
+/// On the first failed cell, with its error — the experiments'
+/// contract for configurations known to be valid.
+pub(crate) fn expect_stats(runs: Vec<CellRun>) -> Vec<SimStats> {
+    runs.into_iter()
+        .map(|run| match run.result {
+            Ok(stats) => stats,
+            Err(e) => panic!("{e}"),
         })
         .collect()
 }
@@ -433,7 +447,11 @@ pub fn sweep_grid(
                 .map(|c| SweepCell::new(Arc::clone(p), c.clone()))
         })
         .collect();
-    let stats = run_cells(&cells, params);
+    let stats = expect_stats(run_cells(
+        &cells,
+        params,
+        &RunOptions::new(effective_jobs(params.jobs)),
+    ));
     stats
         .chunks(configs.len().max(1))
         .map(<[SimStats]>::to_vec)
@@ -487,29 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_error_retry_classification() {
-        // Hung cell (watchdog) → Timeout, retryable.
-        let timeout = CellError::Timeout {
-            cycles: 50,
-            retired: 3,
-        };
-        assert!(timeout.is_retryable());
-        assert_eq!(timeout.kind(), "timeout");
-        // Panicking cell → Panic, retryable (bounded by the caller).
-        let panic = CellError::Panic {
-            message: "boom".into(),
-        };
-        assert!(panic.is_retryable());
-        assert_eq!(panic.kind(), "panic");
-        // Checkpoint trouble (e.g. a bad fingerprint) → permanent.
-        let ckpt = CellError::Checkpoint {
-            message: "checkpoint belongs to a different sweep".into(),
-        };
-        assert!(!ckpt.is_retryable());
-        assert_eq!(ckpt.kind(), "checkpoint");
-    }
-
-    #[test]
     fn grid_shape_is_benchmark_major() {
         let params = RunParams {
             warmup: 2_000,
@@ -559,39 +554,48 @@ mod tests {
         }
     }
 
+    fn small_params(jobs: u64) -> RunParams {
+        RunParams {
+            warmup: 2_000,
+            measure: 4_000,
+            jobs,
+            ..RunParams::quick()
+        }
+    }
+
+    fn stats_of(runs: &[CellRun]) -> Vec<SimStats> {
+        runs.iter()
+            .map(|r| r.result.clone().expect("cell succeeds"))
+            .collect()
+    }
+
     #[test]
     fn panicking_cell_reports_error_and_spares_the_rest() {
         // SimConfig::baseline(63): the trace cache asserts its
         // geometry (63 entries don't divide into ways), so this cell
         // panics inside the worker. The acceptance bar: the sweep
         // completes, that cell reports CellError::Panic, every other
-        // cell's result is correct (matches an unhardened run of the
-        // same cell).
+        // cell's result is correct.
         let program = Arc::new(WorkloadBuilder::new(Benchmark::Compress).seed(1).build());
         let cells = [
             SweepCell::new(Arc::clone(&program), SimConfig::baseline(64)),
             SweepCell::new(Arc::clone(&program), SimConfig::baseline(63)),
             SweepCell::new(Arc::clone(&program), SimConfig::with_precon(64, 32)),
         ];
-        let params = RunParams {
-            warmup: 2_000,
-            measure: 4_000,
-            jobs: 2,
-            ..RunParams::quick()
-        };
-        let results = run_cells_checked(&cells, params, CellBudget::default());
-        assert!(results[0].is_ok());
-        match &results[1] {
+        let params = small_params(2);
+        let runs = run_cells(&cells, params, &RunOptions::new(2));
+        assert!(runs[0].result.is_ok());
+        match &runs[1].result {
             Err(e @ CellError::Panic { message }) => {
                 assert!(message.contains("entries"), "message: {message}");
-                assert!(e.is_retryable(), "panics are retryable (bounded)");
+                assert_eq!(e.kind(), "panic");
             }
             other => panic!("expected a panic error, got {other:?}"),
         }
-        assert!(results[2].is_ok());
-        // The surviving cells match an unhardened run exactly.
-        let clean = run_cells(&cells[..1], params);
-        assert_eq!(results[0].as_ref().unwrap(), &clean[0]);
+        assert!(runs[2].result.is_ok());
+        // The surviving cells match a sweep without the failing one.
+        let clean = run_cells(&cells[..1], params, &RunOptions::new(1));
+        assert_eq!(runs[0].result, clean[0].result);
     }
 
     #[test]
@@ -609,43 +613,86 @@ mod tests {
         };
         // A budget far below any real configuration's need: both
         // cells must time out, structurally, without hanging.
-        let starved = CellBudget {
-            cycles_per_instruction: 0,
-            floor: 50,
+        let starved = RunOptions {
+            budget: CellBudget {
+                cycles_per_instruction: 0,
+                floor: 50,
+            },
+            ..RunOptions::new(2)
         };
-        let results = run_cells_checked(&cells, params, starved);
-        for r in &results {
-            match r {
+        for run in run_cells(&cells, params, &starved) {
+            match run.result {
                 Err(e @ CellError::Timeout { cycles, retired }) => {
-                    assert!(*cycles >= 50);
-                    assert!(*retired < 110_000);
-                    assert!(e.is_retryable(), "a hung cell is retryable");
+                    assert!(cycles >= 50);
+                    assert!(retired < 110_000);
+                    assert_eq!(e.kind(), "timeout");
                 }
                 other => panic!("expected timeout, got {other:?}"),
             }
         }
-        // And a generous budget completes.
-        let fine = run_cells_checked(&cells, params, CellBudget::default());
-        assert!(fine.iter().all(Result::is_ok));
+        // And the default budget completes.
+        let fine = run_cells(&cells, params, &RunOptions::new(2));
+        assert!(fine.iter().all(|r| r.result.is_ok()));
     }
 
     #[test]
-    fn hardened_results_match_plain_results() {
+    fn run_cells_matches_a_direct_run() {
         let program = Arc::new(WorkloadBuilder::new(Benchmark::Li).seed(1).build());
-        let cells = [
-            SweepCell::new(Arc::clone(&program), SimConfig::baseline(64)),
-            SweepCell::new(Arc::clone(&program), SimConfig::with_precon(64, 64)),
-        ];
-        let params = RunParams {
-            warmup: 2_000,
-            measure: 4_000,
-            ..RunParams::quick()
-        };
-        let plain = run_cells(&cells, params);
-        let hardened: Vec<SimStats> = run_cells_checked(&cells, params, CellBudget::default())
-            .into_iter()
-            .map(|r| r.expect("generous budget"))
+        let configs = [SimConfig::baseline(64), SimConfig::with_precon(64, 64)];
+        let cells: Vec<SweepCell> = configs
+            .iter()
+            .map(|c| SweepCell::new(Arc::clone(&program), c.clone()))
             .collect();
-        assert_eq!(plain, hardened, "watchdog path changes nothing");
+        let params = small_params(0);
+        let runs = run_cells(&cells, params, &RunOptions::new(2));
+        for (run, config) in runs.iter().zip(&configs) {
+            let mut sim = Simulator::new(&program, config.clone());
+            let direct = sim.run_with_warmup(params.warmup, params.measure);
+            assert_eq!(run.result.as_ref(), Ok(&direct), "watchdog changes nothing");
+            assert!(!run.cached);
+        }
+    }
+
+    #[test]
+    fn store_answers_hits_first_and_memoizes_misses() {
+        let program = Arc::new(WorkloadBuilder::new(Benchmark::Compress).seed(1).build());
+        let params = small_params(0);
+        let keyed = |config: SimConfig| SweepCell {
+            key: Some(crate::store::cell_fingerprint("compress", &config, &params)),
+            ..SweepCell::new(Arc::clone(&program), config)
+        };
+        let cells = [
+            keyed(SimConfig::baseline(64)),
+            keyed(SimConfig::with_precon(64, 32)),
+            SweepCell::new(Arc::clone(&program), SimConfig::baseline(128)),
+        ];
+        let store = ResultCache::in_memory();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let record = |i: usize, run: &CellRun| seen.lock().unwrap().push((i, run.cached));
+        let opts = RunOptions {
+            store: Some(&store),
+            on_done: Some(&record),
+            ..RunOptions::new(2)
+        };
+        // Only the second cell is memoized up front.
+        let reference = stats_of(&run_cells(&cells, params, &RunOptions::new(1)));
+        store.insert(cells[1].key.unwrap(), &reference[1]).unwrap();
+        let runs = run_cells(&cells, params, &opts);
+        assert_eq!(
+            stats_of(&runs),
+            reference,
+            "bit-identical with or without the store"
+        );
+        let cached: Vec<bool> = runs.iter().map(|r| r.cached).collect();
+        assert_eq!(cached, [false, true, false]);
+        let seen = std::mem::take(&mut *seen.lock().unwrap());
+        assert_eq!(seen.len(), 3, "one callback per cell");
+        assert_eq!(seen[0], (1, true), "the store hit is answered first");
+        // The keyed miss was memoized; the unkeyed cell was not.
+        assert_eq!(store.stats().entries, 2);
+        let again = run_cells(&cells, params, &opts);
+        let cached: Vec<bool> = again.iter().map(|r| r.cached).collect();
+        assert_eq!(cached, [true, true, false]);
+        assert_eq!(stats_of(&again), reference);
     }
 }

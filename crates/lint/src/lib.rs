@@ -2,21 +2,20 @@
 //! workspace.
 //!
 //! Every scaling claim this repo makes — bit-identical sweeps across
-//! `--jobs`, content-addressed cell caching, seed-derived backoff,
-//! fault schedules as pure functions of (plan, cycle) — rests on
-//! invariants that `clippy` cannot express. This crate parses the
-//! workspace's **own** Rust source with a hand-rolled lexer and
-//! token-tree parser (std-only, offline, no `syn`) and enforces
-//! them statically:
+//! `--jobs`, content-addressed cell caching, fault schedules as pure
+//! functions of (plan, cycle) — rests on invariants that `clippy`
+//! cannot express. This crate parses the workspace's **own** Rust
+//! source with a hand-rolled lexer and token-tree parser (std-only,
+//! offline, no `syn`) and enforces them statically:
 //!
 //! * **Determinism** ([`rules::determinism`]) — no `HashMap`/
 //!   `HashSet`, wall clocks, thread identity, or pointer-value
-//!   formatting in production paths that feed `SimStats`,
-//!   checkpoints, the result cache, or reports.
+//!   formatting in production paths that feed `SimStats`, the
+//!   result store, or reports.
 //! * **Panic hygiene** ([`rules::panics`]) — no `unwrap`/`expect`/
-//!   `panic!` and no uncommented indexing in the supervised worker
-//!   and daemon paths, where `catch_unwind` retry classification
-//!   requires panics to be exceptional.
+//!   `panic!` and no uncommented indexing in the sweep-worker, store
+//!   and daemon paths, where `catch_unwind` containment requires
+//!   panics to be exceptional.
 //! * **Hot-path arithmetic** ([`rules::arith`]) — narrowing casts in
 //!   the per-cycle simulator loop need explicit justification.
 //! * **Cross-file conformance** ([`rules::conformance`]) — the

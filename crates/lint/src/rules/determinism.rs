@@ -1,7 +1,6 @@
 //! Nondeterminism-hazard rules.
 //!
-//! Everything this repo publishes — `SimStats`, checkpoints, the
-//! result cache, `BENCH_*.json`, `report_full.md` — must be a pure
+//! Everything this repo publishes — `SimStats`, the result store, `BENCH_*.json`, `report_full.md` — must be a pure
 //! function of (program, config, seed). Three per-file rules guard
 //! that:
 //!
@@ -13,7 +12,7 @@
 //!   the fix is `BTreeMap`/`BTreeSet` (or a justified allowlist
 //!   entry for a genuinely hot lookup-only table).
 //! * `det-wall-clock`: `Instant`/`SystemTime`/`UNIX_EPOCH`.
-//!   Wall-clock reads are fine for *scheduling* (deadlines, backoff
+//!   Wall-clock reads are fine for *scheduling* (deadlines, polling
 //!   waits) and for *being the measurement* (bench timings) — those
 //!   get allowlist entries with that justification — but must never
 //!   leak into result content.

@@ -1,10 +1,10 @@
-//! Panic-hygiene rules for supervised worker and daemon paths.
+//! Panic-hygiene rules for sweep-worker, result-store and daemon paths.
 //!
-//! The supervisor's `catch_unwind` retry classification treats a
-//! panic as "retryable chaos" — that only stays sound if panics in
-//! the worker/daemon paths are *exceptional*, never routine control
-//! flow. Two rules, scoped to the service crate plus the hardened
-//! sweep-execution modules it supervises:
+//! The sweep executor's `catch_unwind` containment turns a panic into
+//! that cell's error — that only stays sound if panics in the
+//! worker/daemon paths are *exceptional*, never routine control flow.
+//! Two rules, scoped to the service crate plus the hardened
+//! sweep-execution and result-store modules it drives:
 //!
 //! * `panic-path`: `.unwrap()`, `.expect("…")`, `panic!`,
 //!   `unreachable!`, `todo!`. The `.expect(` form is only flagged
@@ -22,16 +22,14 @@ use crate::rules::{finding, for_each_seq};
 use crate::tree::Tree;
 use crate::workspace::SourceFile;
 
-/// Files whose panics the supervisor must be able to treat as
-/// exceptional: the whole service crate plus the hardened parallel
-/// executor and checkpoint modules it drives. The chaos gate binary
-/// is excluded — it is a test harness whose assertions (panics)
-/// are the point, and nothing it runs passes through the
-/// supervisor's retry classification.
+/// Files whose panics must stay exceptional: the whole service crate
+/// plus the hardened parallel executor and the result store it
+/// persists to. The chaos gate binary is excluded — it is a test
+/// harness whose assertions (panics) are the point.
 fn in_scope(rel: &str) -> bool {
     (rel.starts_with("crates/service/src/") && rel != "crates/service/src/bin/chaos_service.rs")
         || rel == "crates/experiments/src/par_sweep.rs"
-        || rel == "crates/experiments/src/checkpoint.rs"
+        || rel == "crates/experiments/src/store.rs"
 }
 
 /// Identifier-like tokens that may precede `[` without it being an
@@ -58,7 +56,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                             "panic-path",
                             file,
                             name.line(),
-                            ".unwrap() in supervised path".to_string(),
+                            ".unwrap() in contained sweep/daemon path".to_string(),
                         ));
                     }
                     let str_arg = args.children().first().is_some_and(|c| {
@@ -70,7 +68,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                             "panic-path",
                             file,
                             name.line(),
-                            ".expect(\"…\") in supervised path".to_string(),
+                            ".expect(\"…\") in contained sweep/daemon path".to_string(),
                         ));
                     }
                 }
@@ -84,7 +82,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     "panic-path",
                     file,
                     t.line(),
-                    format!("{}! in supervised path", t.text()),
+                    format!("{}! in contained sweep/daemon path", t.text()),
                 ));
             }
             // `expr[…]` indexing without a bound comment.

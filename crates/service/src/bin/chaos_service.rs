@@ -10,19 +10,21 @@
 //! 1. **Clean sweep** — daemon results must be bit-identical to a
 //!    serial in-process [`run_cells`] reference (digest over every
 //!    stats word).
-//! 2. **Memoized resubmit** — the same sweep again: every cell served
-//!    from cache, digest unchanged.
-//! 3. **Chaos sweep** — poison cells that panic or hang on their
-//!    first attempts (they must recover via retries to bit-identical
-//!    stats), a permanently failing cell (it must land in the error
-//!    manifest with bounded attempts while the rest complete), a
-//!    worker killed mid-cell (the supervisor must resurrect it), and
-//!    an injected cache-write failure (result still correct).
-//! 4. **Daemon SIGKILL mid-sweep** — kill -9 the daemon after two
+//! 2. **Hang probe** — the grid again under a starved cycle budget
+//!    (`budget_cpi:0,budget_floor:50`) with the cache bypassed: every
+//!    cell must trip the watchdog and land in the error manifest
+//!    while the sweep completes.
+//! 3. **Memoized resubmit** — the clean sweep again: every cell
+//!    served from cache, digest unchanged.
+//! 4. **Chaos sweep** — the grid plus a `baseline:63` cell, which
+//!    panics on the trace cache's geometry assertion (it must land in
+//!    the error manifest while the rest complete), and an injected
+//!    cache-write failure (result still correct).
+//! 5. **Daemon SIGKILL mid-sweep** — kill -9 the daemon after two
 //!    cells complete, tear the cache file's tail, restart on the same
 //!    socket and cache, resubmit: the finished cells replay from
 //!    cache and the merged digest still matches the reference.
-//! 5. **Broken cache path** — a daemon whose `--cache` points at a
+//! 6. **Broken cache path** — a daemon whose `--cache` points at a
 //!    directory degrades to in-memory and still answers correctly;
 //!    the same daemon (started without `--allow-chaos`) must refuse a
 //!    chaos-carrying request.
@@ -30,16 +32,13 @@
 //! Exit status 0 only if every check passes — wired into
 //! `scripts/verify.sh` as the service smoke gate.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tpc_experiments::{run_cells, RunParams, SweepCell};
-use tpc_isa::Program;
+use tpc_experiments::{run_cells, CellBudget, RunOptions, RunParams};
 use tpc_processor::SimStats;
-use tpc_service::{digest_results, CellSpec, Client, ConfigSpec, Poison, SweepRequest};
-use tpc_workloads::{Benchmark, WorkloadBuilder};
+use tpc_service::{digest_results, CellSpec, Client, ConfigSpec, SweepRequest};
+use tpc_workloads::Benchmark;
 
 struct Harness {
     failures: u32,
@@ -131,26 +130,13 @@ fn grid(quick: bool) -> Vec<CellSpec> {
         .collect()
 }
 
-/// Serial, unsupervised, in-process reference results for `specs`.
-fn serial_reference(specs: &[CellSpec], params: RunParams) -> Vec<SimStats> {
-    let mut programs: BTreeMap<&'static str, Arc<Program>> = BTreeMap::new();
-    let cells: Vec<SweepCell> = specs
-        .iter()
-        .map(|spec| {
-            let program = programs
-                .entry(spec.benchmark.name())
-                .or_insert_with(|| {
-                    Arc::new(
-                        WorkloadBuilder::new(spec.benchmark)
-                            .seed(params.seed)
-                            .build(),
-                    )
-                })
-                .clone();
-            SweepCell::new(program, spec.sim_config())
-        })
-        .collect();
-    run_cells(&cells, params)
+/// Serial, in-process reference results for `req`, without the daemon
+/// or its cache.
+fn serial_reference(req: &SweepRequest) -> Vec<SimStats> {
+    run_cells(&req.sweep_cells(), req.run_params(), &RunOptions::new(1))
+        .into_iter()
+        .map(|run| run.result.expect("reference cell succeeds"))
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -183,17 +169,12 @@ fn main() -> ExitCode {
         "chaos_service: {} cells, warmup {}, measure {}",
         n, params.warmup, params.measure
     );
-    let reference = serial_reference(&specs, params);
+    let request =
+        |cells: Vec<CellSpec>| SweepRequest::new(params.warmup, params.measure, params.seed, cells);
+    let reference = serial_reference(&request(specs.clone()));
     let ref_digest = digest_results(reference.iter().map(Some));
 
-    let request = |cells: Vec<CellSpec>| {
-        let mut req = SweepRequest::new(params.warmup, params.measure, params.seed, cells);
-        req.policy.backoff_base_ms = 1;
-        req.policy.backoff_cap_ms = 5;
-        req
-    };
-
-    // --- Scenarios 1-3: one daemon, persistent cache, chaos allowed.
+    // --- Scenarios 1-4: one daemon, persistent cache, chaos allowed.
     let socket = dir.join("main.sock");
     let cache = dir.join("cache.jsonl");
     let daemon = spawn_daemon(&socket, Some(&cache), 3, true);
@@ -214,12 +195,8 @@ fn main() -> ExitCode {
             );
             h.check(
                 "clean sweep ran fresh",
-                report.cached_count() == 0 && report.retries == 0,
-                &format!(
-                    "cached {}, retries {}",
-                    report.cached_count(),
-                    report.retries
-                ),
+                report.cached_count() == 0,
+                &format!("cached {}", report.cached_count()),
             );
         }
         Err(e) => h.check(
@@ -229,7 +206,30 @@ fn main() -> ExitCode {
         ),
     }
 
-    // 2. Resubmit: every cell replays from the cache, digest unchanged.
+    // 2. Hang probe: a starved watchdog budget, cache bypassed so
+    // every cell reaches a worker. Each must time out structurally.
+    let mut starved = request(specs.clone());
+    starved.budget = CellBudget {
+        cycles_per_instruction: 0,
+        floor: 50,
+    };
+    starved.no_cache = true;
+    match client.sweep(&starved) {
+        Ok(report) => h.check(
+            "hang probe: every starved cell trips the watchdog",
+            report.ok_count() == 0
+                && report.manifest.len() == n
+                && report.manifest.iter().all(|e| e.kind == "timeout"),
+            &format!("ok {}, manifest {:?}", report.ok_count(), report.manifest),
+        ),
+        Err(e) => h.check(
+            "hang probe: every starved cell trips the watchdog",
+            false,
+            &e.to_string(),
+        ),
+    }
+
+    // 3. Resubmit: every cell replays from the cache, digest unchanged.
     match client.sweep(&request(specs.clone())) {
         Ok(report) => h.check(
             "resubmit is fully memoized and identical",
@@ -247,28 +247,17 @@ fn main() -> ExitCode {
         ),
     }
 
-    // 3. Chaos sweep: flaky poison (panic, hang), a permanent
-    // failure, a worker kill, and a cache-write failure — partial
-    // results still bit-identical, failure degraded into the
-    // manifest.
+    // 4. Chaos sweep: a permanently panicking cell and a cache-write
+    // failure — the other results still bit-identical, the failure
+    // degraded into the manifest.
     let mut chaos_specs = specs.clone();
-    chaos_specs[0].poison = Poison {
-        panic_attempts: 1,
-        hang_attempts: 0,
-    };
-    chaos_specs[1].poison = Poison {
-        panic_attempts: 0,
-        hang_attempts: 1,
-    };
-    let mut permanent = specs[0].clone();
-    permanent.poison.panic_attempts = u32::MAX;
-    chaos_specs.push(permanent);
-    // Chaos must target cells the cache can't satisfy (the poisoned
-    // ones — their fingerprints differ from the clean grid already
-    // memoized in scenarios 1-2); a cached cell never reaches a
-    // worker, so a kill or write-failure aimed at it would not fire.
+    chaos_specs.push(CellSpec::new(
+        Benchmark::Compress,
+        ConfigSpec::parse("baseline:63").unwrap(),
+    ));
     let mut req = request(chaos_specs);
-    req.chaos.kill_worker.push((1, 1));
+    // The injected write failure makes cell 0 bypass the cache, so it
+    // runs fresh even though scenario 1 memoized it.
     req.chaos.fail_cache_writes.push(0);
     match client.sweep(&req) {
         Ok(report) => {
@@ -276,32 +265,24 @@ fn main() -> ExitCode {
             h.check(
                 "chaos sweep: surviving cells bit-identical",
                 cells_match,
-                "a retried/killed cell diverged from the serial reference",
-            );
-            h.check(
-                "chaos sweep: flaky cells recovered on attempt 2",
-                report.attempts[0] == 2 && report.attempts[1] == 2,
-                &format!("attempts {:?}", &report.attempts[..2]),
+                "a cell diverged from the serial reference",
             );
             let manifest_ok = report.stats[n].is_none()
                 && report.manifest.len() == 1
                 && report.manifest[0].index == n
-                && report.manifest[0].kind == "panic"
-                && report.manifest[0].attempts == req.policy.max_attempts;
+                && report.manifest[0].kind == "panic";
             h.check(
-                "chaos sweep: permanent failure degraded into manifest",
+                "chaos sweep: panicking cell degraded into manifest",
                 manifest_ok,
                 &format!("manifest {:?}", report.manifest),
             );
             h.check(
-                "chaos sweep: killed worker was resurrected",
-                report.workers_killed == 1,
-                &format!("workers_killed {}", report.workers_killed),
-            );
-            h.check(
                 "chaos sweep: injected cache-write failure observed",
-                report.cache_write_failures == 1,
-                &format!("cache_write_failures {}", report.cache_write_failures),
+                report.cache_write_failures == 1 && !report.cached[0],
+                &format!(
+                    "cache_write_failures {}, cell 0 cached {}",
+                    report.cache_write_failures, report.cached[0]
+                ),
             );
         }
         Err(e) => h.check(
@@ -312,7 +293,7 @@ fn main() -> ExitCode {
     }
     stop_daemon(daemon, client);
 
-    // --- Scenario 4: SIGKILL the daemon mid-sweep, tear the cache,
+    // --- Scenario 5: SIGKILL the daemon mid-sweep, tear the cache,
     // restart, resubmit — completed cells replay, merged digest
     // matches.
     let socket = dir.join("kill.sock");
@@ -377,7 +358,7 @@ fn main() -> ExitCode {
     }
     stop_daemon(daemon2, client);
 
-    // --- Scenario 5: broken cache path (a directory) + chaos refusal.
+    // --- Scenario 6: broken cache path (a directory) + chaos refusal.
     let socket = dir.join("degraded.sock");
     let daemon = spawn_daemon(&socket, Some(&dir), 2, false);
     let mut client = connect(&socket);
@@ -394,7 +375,7 @@ fn main() -> ExitCode {
         ),
     }
     let mut refused = request(specs.clone());
-    refused.chaos.kill_worker.push((0, 1));
+    refused.chaos.fail_cache_writes.push(0);
     let err = client.sweep(&refused);
     h.check(
         "chaos plan refused without --allow-chaos",

@@ -9,8 +9,8 @@
 //! `{"op":"shutdown"}`. With `--cache`, completed cells are memoized
 //! in a content-addressed file that survives restarts — and SIGKILL,
 //! thanks to torn-line tolerance. `--allow-chaos` accepts requests
-//! carrying chaos plans (worker kills, injected cache-write
-//! failures); leave it off outside test harnesses.
+//! carrying chaos plans (injected cache-write failures); leave it off
+//! outside test harnesses.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,9 +22,10 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Worker panics (e.g. chaos poison cells) are contained and
-    // retried by the supervisor; a full default-hook backtrace per
-    // contained panic would drown the log, so log one line instead.
+    // A panicking cell (e.g. an invalid configuration) is contained
+    // and reported in the sweep's error manifest; a full default-hook
+    // backtrace per contained panic would drown the log, so log one
+    // line instead.
     std::panic::set_hook(Box::new(|info| {
         eprintln!("tpc_service: contained panic: {info}");
     }));

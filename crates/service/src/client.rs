@@ -1,33 +1,67 @@
 //! A line-protocol client for the sweep daemon (used by the chaos
 //! harness, the integration tests, and scriptable from `verify.sh`).
 
-use crate::cache::CacheStats;
 use crate::json::Json;
 use crate::spec::SweepRequest;
-use crate::supervisor::{digest_results, ManifestEntry};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
+use tpc_experiments::{CacheStats, Fnv64};
 use tpc_processor::SimStats;
 
+/// Order-sensitive FNV digest over a sweep's completed cells' exact
+/// stats words (`None` = failed cell) — two sweeps merged
+/// bit-identically have equal digests. The daemon sends it in its
+/// `done` line; clients recompute it from the streamed words.
+pub fn digest_results<'a>(results: impl Iterator<Item = Option<&'a SimStats>>) -> u64 {
+    let mut h = Fnv64::new();
+    for (index, stats) in results.enumerate() {
+        match stats {
+            Some(stats) => {
+                h.write(&(index as u64).to_le_bytes());
+                for word in stats.to_words() {
+                    h.write(&word.to_le_bytes());
+                }
+            }
+            None => h.write(b"failed"),
+        }
+    }
+    h.finish()
+}
+
+/// One failed cell, as reported alongside the partial results —
+/// failure never aborts the sweep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ManifestEntry {
+    /// Index into the sweep's cell grid.
+    pub index: usize,
+    /// Error kind tag (`panic` / `timeout`).
+    pub kind: String,
+    /// Human-readable detail.
+    pub message: String,
+}
+
 /// A completed sweep as seen by the client: per-cell results in grid
-/// order plus the supervision counters from the daemon's `done` line.
+/// order plus the counters from the daemon's `done` line.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// Per-cell stats (`None` = permanently failed, see `manifest`).
+    /// Per-cell stats (`None` = failed, see `manifest`).
     pub stats: Vec<Option<SimStats>>,
-    /// Per-cell attempts run (0 = cache hit).
+    /// Per-cell runs: 1 when the daemon simulated the cell, 0 when it
+    /// came from the cache.
     pub attempts: Vec<u32>,
     /// Per-cell cache-hit flags.
     pub cached: Vec<bool>,
-    /// Re-queued attempts across the sweep.
+    /// Always 0: the daemon runs each cell once and never retries
+    /// (simulations are deterministic, so a retry would fail
+    /// identically).
     pub retries: u64,
-    /// Workers the supervisor replaced.
+    /// Always 0: sweep workers are never killed or replaced.
     pub workers_killed: u64,
     /// Results that could not be memoized.
     pub cache_write_failures: u64,
-    /// Every permanently failed cell.
+    /// Every failed cell.
     pub manifest: Vec<ManifestEntry>,
     /// The daemon's digest over completed cells (verified on receipt
     /// against a digest recomputed from the streamed words).
@@ -250,20 +284,18 @@ impl Client {
                         SimStats::from_words(&words)
                             .ok_or_else(|| protocol_err("cell event words malformed"))?,
                     );
+                    let cached = v.get("cached").and_then(Json::as_bool).unwrap_or(false);
                     // bound: index_of caps i < cell count
-                    report.attempts[i] = v.u64_or("attempts", 0).map_err(protocol_err)? as u32;
+                    report.cached[i] = cached;
                     // bound: index_of caps i < cell count
-                    report.cached[i] = v.get("cached").and_then(Json::as_bool).unwrap_or(false);
+                    report.attempts[i] = u32::from(!cached);
                 }
                 Some("cell_error") => {
                     let i = index_of(&v, "index")?;
                     // bound: index_of caps i < cell count
-                    report.attempts[i] = v.u64_or("attempts", 0).map_err(protocol_err)? as u32;
+                    report.attempts[i] = 1;
                 }
-                Some("retry") | Some("worker_killed") => {}
                 Some("done") => {
-                    report.retries = v.u64_or("retries", 0).map_err(protocol_err)?;
-                    report.workers_killed = v.u64_or("workers_killed", 0).map_err(protocol_err)?;
                     report.cache_write_failures =
                         v.u64_or("cache_write_failures", 0).map_err(protocol_err)?;
                     report.digest = v
@@ -287,7 +319,6 @@ impl Client {
                                 .and_then(Json::as_str)
                                 .unwrap_or("")
                                 .to_string(),
-                            attempts: entry.u64_or("attempts", 0).map_err(protocol_err)? as u32,
                         });
                     }
                     break;

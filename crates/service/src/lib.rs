@@ -1,50 +1,41 @@
-//! Supervised sweep service for the trace-preconstruction simulator.
+//! Sweep service for the trace-preconstruction simulator.
 //!
 //! This crate turns the batch sweep machinery of `tpc-experiments`
 //! into a long-running **daemon**: a Unix-domain-socket server that
-//! accepts sweep requests as line-delimited JSON, shards the cells
-//! across a supervised worker pool, and streams results back as they
-//! resolve. Robustness is the point:
+//! accepts sweep requests as line-delimited JSON, runs the cells
+//! through the one sweep entry point, [`tpc_experiments::run_cells`],
+//! and streams results back as they resolve:
 //!
-//! * **Deadlines** — every cell attempt runs under a cycle-budget
-//!   watchdog ([`tpc_experiments::CellBudget`]); a wedged simulation
-//!   trips the watchdog instead of hanging the pool.
-//! * **Retries** — panicking or timed-out attempts are re-queued with
-//!   deterministic seed-derived exponential backoff, up to a bounded
-//!   attempt count ([`RetryPolicy`]).
-//! * **Degradation** — cells that exhaust their attempts land in an
-//!   error manifest next to the partial results; a sweep always
-//!   completes.
-//! * **Memoization** — completed cells are recorded in a
+//! * **Memoization** — completed cells are recorded in the
 //!   content-addressed [`ResultCache`] keyed by cell fingerprint, so
 //!   overlapping sweeps replay cached cells for free, across daemon
-//!   restarts and even a SIGKILL mid-write (the cache inherits the
-//!   checkpoint module's torn-line tolerance).
-//! * **Self-chaos** — the `chaos_service` binary kills workers
-//!   mid-cell, injects poison cells, tears cache files, and SIGKILLs
-//!   the daemon, then asserts the merged results are bit-identical
-//!   to a clean serial [`tpc_experiments::run_cells`] reference.
+//!   restarts and even a SIGKILL mid-write (torn-line tolerance).
+//!   Cached cells are answered first.
+//! * **Containment** — every miss runs once on the worker pool under
+//!   panic containment and a cycle-budget watchdog
+//!   ([`tpc_experiments::CellBudget`]); a panicking or wedged cell
+//!   lands in the sweep's error manifest next to the partial results,
+//!   and the sweep always completes.
+//! * **Self-chaos** — the `chaos_service` binary feeds the daemon
+//!   panicking and starved cells, injects cache-write failures, tears
+//!   cache files and SIGKILLs the daemon, then asserts the merged
+//!   results are bit-identical to a clean serial
+//!   [`tpc_experiments::run_cells`] reference.
 //!
-//! Everything is `std`-only and offline; simulations are
-//! deterministic, so none of the supervision machinery can change a
-//! result — only whether and when it arrives.
+//! There is no retry layer: simulations are deterministic and the
+//! watchdog counts cycles, so a failed cell would fail identically
+//! again. Everything is `std`-only and offline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod json;
 pub mod server;
 pub mod spec;
-pub mod supervisor;
 
-pub use cache::{CacheStats, ResultCache, CACHE_HEADER};
-pub use client::{Client, SweepReport};
+pub use client::{digest_results, Client, ManifestEntry, SweepReport};
 pub use json::Json;
 pub use server::{serve, ServerOptions};
-pub use spec::{CellSpec, ConfigSpec, Poison, SweepRequest};
-pub use supervisor::{
-    backoff_ms, digest_results, prepare_cells, run_supervised, CellOutcome, ChaosPlan, Event,
-    ManifestEntry, PreparedCell, RetryPolicy, SupervisorOptions, SweepOutcome,
-};
+pub use spec::{CellSpec, ChaosPlan, ConfigSpec, SweepRequest};
+pub use tpc_experiments::{CacheStats, ResultCache};

@@ -12,38 +12,40 @@
 //! | `{"op":"sweep",...}` | `{"ok":true,"op":"accepted",...}`, a stream of `event` lines, then a final `done` line |
 //!
 //! Malformed or rejected requests get `{"ok":false,"error":"..."}`;
-//! the connection stays usable. Sweep event lines (in completion
-//! order, not grid order — every line carries its cell `index`):
+//! the connection stays usable. A sweep runs through
+//! [`tpc_experiments::run_cells`]: cells found in the result cache are
+//! answered first, then every miss runs once on the worker pool under
+//! panic containment and the request's cycle watchdog. Event lines
+//! (cached cells in grid order, then fresh cells in completion order
+//! — every line carries its cell `index`):
 //!
 //! ```text
-//! {"event":"cell","index":3,"attempts":1,"cached":false,"ms":12.5,"words":[...]}
-//! {"event":"retry","index":5,"attempt":1,"delay_ms":13,"kind":"panic"}
-//! {"event":"worker_killed","worker":0,"index":5,"attempt":2}
-//! {"event":"cell_error","index":6,"attempts":3,"kind":"timeout","message":"..."}
-//! {"event":"done","ok":7,"failed":1,"cached":2,"retries":3,"workers_killed":1,
-//!  "cache_write_failures":0,"digest":123...,
-//!  "manifest":[{"index":6,"kind":"timeout","message":"...","attempts":3}]}
+//! {"event":"cell","index":3,"cached":false,"ms":12.5,"words":[...]}
+//! {"event":"cell_error","index":6,"kind":"timeout","message":"..."}
+//! {"event":"done","ok":7,"failed":1,"cached":2,"cache_write_failures":0,
+//!  "digest":123...,"manifest":[{"index":6,"kind":"timeout","message":"..."}]}
 //! ```
 //!
 //! Connections are served **sequentially** (parallelism lives inside
 //! a sweep, across the worker pool — not across clients); a second
 //! client queues in the listen backlog until the first disconnects.
 //!
-//! The `manifest` array lists every permanently failed cell; `digest`
-//! is the order-sensitive FNV digest of the completed cells' stats
-//! words ([`crate::supervisor::digest_results`]) for cheap
-//! bit-identity checks against a
-//! reference run. Chaos injection in a request is refused unless the
-//! daemon was started with `--allow-chaos`.
+//! The `manifest` array lists every failed cell; `digest` is the
+//! order-sensitive FNV digest of the completed cells' stats words
+//! ([`crate::client::digest_results`]) for cheap bit-identity checks
+//! against a reference run. There are no retries: cells are
+//! deterministic and the watchdog counts cycles, so a failed cell
+//! would fail identically again. Chaos injection in a request is
+//! refused unless the daemon was started with `--allow-chaos`.
 
-use crate::cache::ResultCache;
+use crate::client::digest_results;
 use crate::json::{escape, Json};
 use crate::spec::SweepRequest;
-use crate::supervisor::{prepare_cells, run_supervised, Event, SupervisorOptions, SweepOutcome};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Mutex;
+use tpc_experiments::{run_cells, CellRun, ResultCache, RunOptions};
 use tpc_processor::SimStats;
 
 /// Daemon configuration (mirrors the `tpc_service` CLI).
@@ -82,7 +84,7 @@ fn words_json(stats: &SimStats) -> String {
 }
 
 /// A line writer shared between the connection handler and the
-/// supervisor's worker threads. Write errors are latched, not
+/// sweep's worker threads. Write errors are latched, not
 /// propagated: a client that disconnects mid-sweep must not kill the
 /// sweep (its cells still land in the cache for the re-submit).
 struct EventWriter {
@@ -112,78 +114,43 @@ impl EventWriter {
     }
 }
 
-fn event_line(event: &Event) -> String {
-    match event {
-        Event::CellDone {
-            index,
-            attempts,
-            cached,
-            ms,
-            stats,
-        } => format!(
-            "{{\"event\":\"cell\",\"index\":{index},\"attempts\":{attempts},\
-             \"cached\":{cached},\"ms\":{ms:.3},\"words\":{}}}",
+fn event_line(index: usize, run: &CellRun) -> String {
+    match &run.result {
+        Ok(stats) => format!(
+            "{{\"event\":\"cell\",\"index\":{index},\"cached\":{},\"ms\":{:.3},\"words\":{}}}",
+            run.cached,
+            run.ms,
             words_json(stats)
         ),
-        Event::CellFailed {
-            index,
-            attempts,
-            error,
-        } => format!(
-            "{{\"event\":\"cell_error\",\"index\":{index},\"attempts\":{attempts},\
-             \"kind\":\"{}\",\"message\":\"{}\"}}",
+        Err(error) => format!(
+            "{{\"event\":\"cell_error\",\"index\":{index},\"kind\":\"{}\",\"message\":\"{}\"}}",
             error.kind(),
             escape(&error.to_string())
-        ),
-        Event::Retry {
-            index,
-            attempt,
-            delay_ms,
-            kind,
-        } => format!(
-            "{{\"event\":\"retry\",\"index\":{index},\"attempt\":{attempt},\
-             \"delay_ms\":{delay_ms},\"kind\":\"{kind}\"}}"
-        ),
-        Event::WorkerKilled {
-            worker,
-            index,
-            attempt,
-        } => format!(
-            "{{\"event\":\"worker_killed\",\"worker\":{worker},\
-             \"index\":{index},\"attempt\":{attempt}}}"
         ),
     }
 }
 
-fn done_line(outcome: &SweepOutcome) -> String {
-    let manifest: Vec<String> = outcome
-        .manifest()
+fn done_line(runs: &[CellRun], cache_write_failures: u64) -> String {
+    let manifest: Vec<String> = runs
         .iter()
-        .map(|entry| {
-            format!(
-                "{{\"index\":{},\"kind\":\"{}\",\"message\":\"{}\",\"attempts\":{}}}",
-                entry.index,
-                escape(&entry.kind),
-                escape(&entry.message),
-                entry.attempts
-            )
+        .enumerate()
+        .filter_map(|(index, run)| {
+            let error = run.result.as_ref().err()?;
+            Some(format!(
+                "{{\"index\":{index},\"kind\":\"{}\",\"message\":\"{}\"}}",
+                error.kind(),
+                escape(&error.to_string())
+            ))
         })
         .collect();
-    let cached = outcome.cells.iter().filter(|c| c.cached).count();
-    let write_failures = outcome
-        .cells
-        .iter()
-        .filter(|c| c.cache_write_failed)
-        .count();
+    let ok = runs.iter().filter(|r| r.result.is_ok()).count();
+    let cached = runs.iter().filter(|r| r.cached).count();
+    let digest = digest_results(runs.iter().map(|r| r.result.as_ref().ok()));
     format!(
-        "{{\"event\":\"done\",\"ok\":{},\"failed\":{},\"cached\":{cached},\
-         \"retries\":{},\"workers_killed\":{},\"cache_write_failures\":{write_failures},\
-         \"digest\":{},\"manifest\":[{}]}}",
-        outcome.ok_count(),
-        outcome.failed_count(),
-        outcome.retries,
-        outcome.workers_killed,
-        outcome.digest(),
+        "{{\"event\":\"done\",\"ok\":{ok},\"failed\":{},\"cached\":{cached},\
+         \"cache_write_failures\":{cache_write_failures},\"digest\":{digest},\
+         \"manifest\":[{}]}}",
+        runs.len() - ok,
         manifest.join(",")
     )
 }
@@ -198,22 +165,34 @@ fn handle_sweep(
         "{{\"ok\":true,\"op\":\"accepted\",\"cells\":{}}}",
         req.cells.len()
     ));
-    let workers = if opts.workers == 0 {
+    let jobs = if opts.workers == 0 {
         tpc_experiments::available_cores()
     } else {
         opts.workers
     };
-    let prepared = prepare_cells(req);
-    let sup_opts = SupervisorOptions::for_request(req, workers);
-    let effective_cache = if req.no_cache { None } else { Some(cache) };
-    let outcome = run_supervised(
-        &prepared,
-        &sup_opts,
-        effective_cache,
-        &req.chaos,
-        &|event| writer.line(&event_line(&event)),
-    );
-    writer.line(&done_line(&outcome));
+    let mut cells = req.sweep_cells();
+    // Injected write failures: those cells bypass the cache entirely.
+    for &i in &req.chaos.fail_cache_writes {
+        if let Some(cell) = cells.get_mut(i) {
+            cell.key = None;
+        }
+    }
+    let failures_before = cache.stats().insert_failures;
+    let on_done = |index: usize, run: &CellRun| writer.line(&event_line(index, run));
+    let run_opts = RunOptions {
+        budget: req.budget,
+        store: (!req.no_cache).then_some(cache),
+        on_done: Some(&on_done),
+        ..RunOptions::new(jobs)
+    };
+    let runs = run_cells(&cells, req.run_params(), &run_opts);
+    let injected = req
+        .chaos
+        .fail_cache_writes
+        .iter()
+        .filter(|&&i| !req.no_cache && runs.get(i).is_some_and(|r| r.result.is_ok()));
+    let write_failures = cache.stats().insert_failures - failures_before + injected.count() as u64;
+    writer.line(&done_line(&runs, write_failures));
 }
 
 /// Handles one client connection; returns `true` when the client

@@ -5,9 +5,9 @@
 //! a sweep is specified *by content*: benchmark name, a compact
 //! configuration spec string, the workload seed, and the run window.
 //! The daemon regenerates the program and the full
-//! [`SimConfig`](tpc_processor::SimConfig) from the spec; the same
-//! content hashed with [`Fnv64`] is the cell's identity in the result
-//! cache.
+//! [`SimConfig`] from the spec; the same
+//! content hashed by [`cell_fingerprint`] is the cell's identity in
+//! the result cache.
 //!
 //! Config spec strings:
 //!
@@ -19,12 +19,13 @@
 //! | `unified:<total>:<ways>:<epoch>` | pooled 4-way unified store |
 
 use crate::json::{escape, Json};
-use crate::supervisor::{ChaosPlan, RetryPolicy};
+use std::collections::BTreeMap;
 use std::str::FromStr;
+use std::sync::Arc;
 use tpc_core::FaultPlan;
-use tpc_experiments::{CellBudget, Fnv64};
+use tpc_experiments::{cell_fingerprint, CellBudget, RunParams, SweepCell};
 use tpc_processor::SimConfig;
-use tpc_workloads::Benchmark;
+use tpc_workloads::{Benchmark, WorkloadBuilder};
 
 /// A machine configuration in its compact wire form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,8 @@ pub enum ConfigSpec {
 }
 
 impl ConfigSpec {
-    /// Parses a spec string (see the module table).
+    /// Parses a spec string (see the module table). A field too
+    /// large for its type is rejected, never truncated.
     pub fn parse(s: &str) -> Result<ConfigSpec, String> {
         let parts: Vec<&str> = s.split(':').collect();
         let num = |i: usize| -> Result<u64, String> {
@@ -49,6 +51,10 @@ impl ConfigSpec {
                 .ok_or_else(|| format!("config spec {s:?}: missing field {i}"))?
                 .parse()
                 .map_err(|_| format!("config spec {s:?}: field {i} is not a number"))
+        };
+        let u32_at = |i: usize| -> Result<u32, String> {
+            u32::try_from(num(i)?)
+                .map_err(|_| format!("config spec {s:?}: field {i} does not fit in 32 bits"))
         };
         let arity = |n: usize| -> Result<(), String> {
             if parts.len() == n {
@@ -60,19 +66,21 @@ impl ConfigSpec {
         match parts.first().copied().unwrap_or("") {
             "baseline" => {
                 arity(2)?;
-                Ok(ConfigSpec::Baseline(num(1)? as u32))
+                Ok(ConfigSpec::Baseline(u32_at(1)?))
             }
             "precon" => {
                 arity(3)?;
-                Ok(ConfigSpec::Precon(num(1)? as u32, num(2)? as u32))
+                Ok(ConfigSpec::Precon(u32_at(1)?, u32_at(2)?))
             }
             "combined" => {
                 arity(3)?;
-                Ok(ConfigSpec::Combined(num(1)? as u32, num(2)? as u32))
+                Ok(ConfigSpec::Combined(u32_at(1)?, u32_at(2)?))
             }
             "unified" => {
                 arity(4)?;
-                Ok(ConfigSpec::Unified(num(1)? as u32, num(2)? as u8, num(3)?))
+                let ways = u8::try_from(num(2)?)
+                    .map_err(|_| format!("config spec {s:?}: field 2 does not fit in 8 bits"))?;
+                Ok(ConfigSpec::Unified(u32_at(1)?, ways, num(3)?))
             }
             other => Err(format!(
                 "config spec {s:?}: unknown kind {other:?} \
@@ -102,27 +110,6 @@ impl ConfigSpec {
     }
 }
 
-/// Deterministic failure injection carried *by a cell* — the
-/// self-chaos harness's probe. A poisoned cell fails its first N
-/// attempts (by panicking, or by running under a starved cycle
-/// budget that trips the watchdog) and then behaves normally, so
-/// retry paths can be exercised against bit-identical expectations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Poison {
-    /// Panic on attempts `1..=panic_attempts`.
-    pub panic_attempts: u32,
-    /// Run under a starved watchdog budget (guaranteed
-    /// `CellError::Timeout`) on attempts `1..=hang_attempts`.
-    pub hang_attempts: u32,
-}
-
-impl Poison {
-    /// True when the cell carries no injected failures.
-    pub fn is_clean(&self) -> bool {
-        self.panic_attempts == 0 && self.hang_attempts == 0
-    }
-}
-
 /// One cell of a service sweep, specified by content.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSpec {
@@ -133,8 +120,6 @@ pub struct CellSpec {
     /// Optional deterministic fault-injection plan `(seed,
     /// per-mille)` applied via [`FaultPlan::all`].
     pub faults: Option<(u64, u32)>,
-    /// Chaos poisoning (zeroed for production cells).
-    pub poison: Poison,
 }
 
 impl CellSpec {
@@ -144,7 +129,6 @@ impl CellSpec {
             benchmark,
             config,
             faults: None,
-            poison: Poison::default(),
         }
     }
 
@@ -157,26 +141,22 @@ impl CellSpec {
         config
     }
 
-    /// Content-addressed identity of this cell's *result*: everything
-    /// that determines the simulation output — run window, workload
-    /// seed, benchmark, the expanded configuration (which covers any
-    /// fault plan), and the poison marker. Two cells with equal
-    /// fingerprints produce bit-identical [`SimStats`]
-    /// (simulations are deterministic), which is what makes the
-    /// result cache sound.
+    /// Content-addressed identity of this cell's *result* — the
+    /// [`cell_fingerprint`] of its benchmark and expanded
+    /// configuration (which covers any fault plan) under the run
+    /// window and workload seed. Two cells with equal fingerprints
+    /// produce bit-identical [`SimStats`] (simulations are
+    /// deterministic), which is what makes the result cache sound.
     ///
     /// [`SimStats`]: tpc_processor::SimStats
     pub fn fingerprint(&self, warmup: u64, measure: u64, seed: u64) -> u64 {
-        let mut h = Fnv64::new();
-        h.write(b"tpc-cell-v1");
-        h.write(&warmup.to_le_bytes());
-        h.write(&measure.to_le_bytes());
-        h.write(&seed.to_le_bytes());
-        h.write(self.benchmark.name().as_bytes());
-        h.write(format!("{:?}", self.sim_config()).as_bytes());
-        h.write(&self.poison.panic_attempts.to_le_bytes());
-        h.write(&self.poison.hang_attempts.to_le_bytes());
-        h.finish()
+        let params = RunParams {
+            warmup,
+            measure,
+            seed,
+            jobs: 0,
+        };
+        cell_fingerprint(self.benchmark.name(), &self.sim_config(), &params)
     }
 
     /// Encodes the cell as a JSON object fragment.
@@ -190,15 +170,6 @@ impl CellSpec {
             s.push_str(&format!(
                 ",\"faults_seed\":{seed},\"faults_permille\":{per_mille}"
             ));
-        }
-        if self.poison.panic_attempts > 0 {
-            s.push_str(&format!(
-                ",\"panic_attempts\":{}",
-                self.poison.panic_attempts
-            ));
-        }
-        if self.poison.hang_attempts > 0 {
-            s.push_str(&format!(",\"hang_attempts\":{}", self.poison.hang_attempts));
         }
         s.push('}');
         s
@@ -221,7 +192,9 @@ impl CellSpec {
             (None, None) => None,
             (Some(seed), Some(pm)) => Some((
                 seed.as_u64().ok_or("cell: bad faults_seed")?,
-                pm.as_u64().ok_or("cell: bad faults_permille")? as u32,
+                pm.as_u64()
+                    .and_then(|pm| u32::try_from(pm).ok())
+                    .ok_or("cell: bad faults_permille")?,
             )),
             _ => return Err("cell: faults_seed and faults_permille go together".into()),
         };
@@ -229,15 +202,29 @@ impl CellSpec {
             benchmark,
             config,
             faults,
-            poison: Poison {
-                panic_attempts: v.u64_or("panic_attempts", 0)? as u32,
-                hang_attempts: v.u64_or("hang_attempts", 0)? as u32,
-            },
         })
     }
 }
 
-/// A full sweep request: the run window, supervision policy, and the
+/// Chaos injection carried by a [`SweepRequest`]. The daemon refuses
+/// it unless started with `--allow-chaos`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChaosPlan {
+    /// Cells whose result-cache write fails by injection: each runs
+    /// fresh (the cache is bypassed for it), its result is returned
+    /// to the client but not memoized, and the `done` line counts it
+    /// in `cache_write_failures`.
+    pub fail_cache_writes: Vec<usize>,
+}
+
+impl ChaosPlan {
+    /// True when the plan injects nothing.
+    pub fn is_empty(&self) -> bool {
+        self.fail_cache_writes.is_empty()
+    }
+}
+
+/// A full sweep request: the run window, the cycle watchdog, and the
 /// cell grid. This is the payload of the protocol's `sweep` op.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
@@ -249,29 +236,58 @@ pub struct SweepRequest {
     pub seed: u64,
     /// Per-cell cycle watchdog.
     pub budget: CellBudget,
-    /// Retry/backoff policy.
-    pub policy: RetryPolicy,
     /// The cells to run.
     pub cells: Vec<CellSpec>,
-    /// Supervisor-level chaos injection (daemon must allow it).
+    /// Chaos injection (daemon must allow it).
     pub chaos: ChaosPlan,
     /// Bypass the result cache (reference runs).
     pub no_cache: bool,
 }
 
 impl SweepRequest {
-    /// A request with default policy/budget over `cells`.
+    /// A request with the default budget over `cells`.
     pub fn new(warmup: u64, measure: u64, seed: u64, cells: Vec<CellSpec>) -> SweepRequest {
         SweepRequest {
             warmup,
             measure,
             seed,
             budget: CellBudget::default(),
-            policy: RetryPolicy::default(),
             cells,
             chaos: ChaosPlan::default(),
             no_cache: false,
         }
+    }
+
+    /// The run window and workload seed (`jobs` is left to the
+    /// caller's [`tpc_experiments::RunOptions`]).
+    pub fn run_params(&self) -> RunParams {
+        RunParams {
+            warmup: self.warmup,
+            measure: self.measure,
+            seed: self.seed,
+            jobs: 0,
+        }
+    }
+
+    /// Regenerates each benchmark's program once and binds every cell
+    /// to its program, expanded configuration and fingerprint.
+    pub fn sweep_cells(&self) -> Vec<SweepCell> {
+        let mut programs = BTreeMap::new();
+        self.cells
+            .iter()
+            .map(|spec| {
+                let program = programs
+                    .entry(spec.benchmark)
+                    .or_insert_with(|| {
+                        Arc::new(WorkloadBuilder::new(spec.benchmark).seed(self.seed).build())
+                    })
+                    .clone();
+                SweepCell {
+                    key: Some(spec.fingerprint(self.warmup, self.measure, self.seed)),
+                    ..SweepCell::new(program, spec.sim_config())
+                }
+            })
+            .collect()
     }
 
     /// Encodes the request as one protocol line (newline-terminated).
@@ -279,30 +295,18 @@ impl SweepRequest {
         let cells: Vec<String> = self.cells.iter().map(CellSpec::to_json).collect();
         let mut s = format!(
             "{{\"op\":\"sweep\",\"warmup\":{},\"measure\":{},\"seed\":{},\
-             \"budget_cpi\":{},\"budget_floor\":{},\
-             \"max_attempts\":{},\"backoff_base_ms\":{},\"backoff_cap_ms\":{},\"backoff_seed\":{},\
-             \"cells\":[{}]",
+             \"budget_cpi\":{},\"budget_floor\":{},\"cells\":[{}]",
             self.warmup,
             self.measure,
             self.seed,
             self.budget.cycles_per_instruction,
             self.budget.floor,
-            self.policy.max_attempts,
-            self.policy.backoff_base_ms,
-            self.policy.backoff_cap_ms,
-            self.policy.backoff_seed,
             cells.join(",")
         );
         if self.no_cache {
             s.push_str(",\"no_cache\":true");
         }
         if !self.chaos.is_empty() {
-            let kills: Vec<String> = self
-                .chaos
-                .kill_worker
-                .iter()
-                .map(|(cell, attempt)| format!("[{cell},{attempt}]"))
-                .collect();
             let fails: Vec<String> = self
                 .chaos
                 .fail_cache_writes
@@ -310,8 +314,7 @@ impl SweepRequest {
                 .map(usize::to_string)
                 .collect();
             s.push_str(&format!(
-                ",\"chaos\":{{\"kill\":[{}],\"fail_writes\":[{}]}}",
-                kills.join(","),
+                ",\"chaos\":{{\"fail_writes\":[{}]}}",
                 fails.join(",")
             ));
         }
@@ -331,41 +334,18 @@ impl SweepRequest {
         let cells: Result<Vec<CellSpec>, String> =
             cells_json.iter().map(CellSpec::from_json).collect();
         let default_budget = CellBudget::default();
-        let default_policy = RetryPolicy::default();
-        let chaos = match v.get("chaos") {
-            None => ChaosPlan::default(),
-            Some(c) => {
-                let pairs = |key: &str| -> Result<Vec<(usize, u32)>, String> {
-                    c.get(key)
-                        .and_then(Json::as_arr)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|p| {
-                            let p = p.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                                format!("chaos: {key} entries are [cell,attempt] pairs")
-                            })?;
-                            Ok((
-                                // bound: p.len() == 2 filtered above
-                                p[0].as_u64().ok_or("chaos: bad cell index")? as usize,
-                                // bound: p.len() == 2 filtered above
-                                p[1].as_u64().ok_or("chaos: bad attempt")? as u32,
-                            ))
-                        })
-                        .collect()
-                };
-                let fail_writes: Result<Vec<usize>, String> = c
-                    .get("fail_writes")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|i| Ok(i.as_u64().ok_or("chaos: bad fail_writes index")? as usize))
-                    .collect();
-                ChaosPlan {
-                    kill_worker: pairs("kill")?,
-                    fail_cache_writes: fail_writes?,
-                }
-            }
-        };
+        let fail_cache_writes: Result<Vec<usize>, String> = v
+            .get("chaos")
+            .and_then(|c| c.get("fail_writes"))
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
+            .iter()
+            .map(|i| {
+                i.as_u64()
+                    .and_then(|i| usize::try_from(i).ok())
+                    .ok_or_else(|| "chaos: bad fail_writes index".to_string())
+            })
+            .collect();
         Ok(SweepRequest {
             warmup: v.u64_or("warmup", 40_000)?,
             measure: v.u64_or("measure", 80_000)?,
@@ -375,14 +355,10 @@ impl SweepRequest {
                     .u64_or("budget_cpi", default_budget.cycles_per_instruction)?,
                 floor: v.u64_or("budget_floor", default_budget.floor)?,
             },
-            policy: RetryPolicy {
-                max_attempts: v.u64_or("max_attempts", default_policy.max_attempts as u64)? as u32,
-                backoff_base_ms: v.u64_or("backoff_base_ms", default_policy.backoff_base_ms)?,
-                backoff_cap_ms: v.u64_or("backoff_cap_ms", default_policy.backoff_cap_ms)?,
-                backoff_seed: v.u64_or("backoff_seed", default_policy.backoff_seed)?,
-            },
             cells: cells?,
-            chaos,
+            chaos: ChaosPlan {
+                fail_cache_writes: fail_cache_writes?,
+            },
             no_cache: v.get("no_cache").and_then(Json::as_bool).unwrap_or(false),
         })
     }
@@ -399,6 +375,8 @@ mod tests {
             "precon:128:128",
             "combined:64:32",
             "unified:256:2:4096",
+            "baseline:4294967295",
+            "unified:256:255:4096",
         ] {
             let parsed = ConfigSpec::parse(spec).unwrap();
             assert_eq!(parsed.spec_string(), spec);
@@ -408,6 +386,19 @@ mod tests {
         assert!(ConfigSpec::parse("baseline").is_err());
         assert!(ConfigSpec::parse("baseline:x").is_err());
         assert!(ConfigSpec::parse("precon:64").is_err());
+        // Out-of-range fields are rejected, never truncated: 2^32 + 64
+        // must not alias baseline:64 (and its cached result), nor 257
+        // ways become 1.
+        for too_big in [
+            "baseline:4294967360",
+            "precon:64:4294967296",
+            "combined:4294967296:32",
+            "unified:4294967296:1:4096",
+            "unified:256:257:4096",
+        ] {
+            let err = ConfigSpec::parse(too_big).unwrap_err();
+            assert!(err.contains("does not fit"), "{too_big}: {err}");
+        }
     }
 
     #[test]
@@ -423,6 +414,25 @@ mod tests {
     }
 
     #[test]
+    fn cell_spec_json_rejects_out_of_range_fields() {
+        let cell = |body: &str| CellSpec::from_json(&Json::parse(body).unwrap());
+        assert!(cell("{\"benchmark\":\"gcc\",\"config\":\"baseline:64\"}").is_ok());
+        assert!(cell("{\"benchmark\":\"gcc\",\"config\":\"baseline:4294967360\"}").is_err());
+        assert!(cell("{\"benchmark\":\"gcc\",\"config\":\"unified:256:257:4096\"}").is_err());
+        let faulted = |pm: u64| {
+            cell(&format!(
+                "{{\"benchmark\":\"gcc\",\"config\":\"baseline:64\",\
+                 \"faults_seed\":3,\"faults_permille\":{pm}}}"
+            ))
+        };
+        assert_eq!(faulted(40).unwrap().faults, Some((3, 40)));
+        assert!(
+            faulted(u32::MAX as u64 + 41).is_err(),
+            "faults_permille is not narrowed"
+        );
+    }
+
+    #[test]
     fn sweep_request_round_trips_through_json() {
         let mut req = SweepRequest::new(
             2_000,
@@ -434,15 +444,11 @@ mod tests {
                     benchmark: Benchmark::Gcc,
                     config: ConfigSpec::Precon(64, 32),
                     faults: Some((9, 40)),
-                    poison: Poison {
-                        panic_attempts: 2,
-                        hang_attempts: 1,
-                    },
                 },
+                CellSpec::new(Benchmark::Go, ConfigSpec::Unified(256, 255, 4096)),
             ],
         );
-        req.policy.max_attempts = 5;
-        req.chaos.kill_worker.push((1, 2));
+        req.budget.floor = 50;
         req.chaos.fail_cache_writes.push(0);
         req.no_cache = true;
         let line = req.to_json_line();
@@ -468,8 +474,23 @@ mod tests {
         let mut faulted = a.clone();
         faulted.faults = Some((3, 40));
         assert_ne!(fp(&a), fp(&faulted), "fault plan matters");
-        let mut poisoned = a.clone();
-        poisoned.poison.panic_attempts = 1;
-        assert_ne!(fp(&a), fp(&poisoned), "poison never aliases clean results");
+    }
+
+    #[test]
+    fn sweep_cells_share_programs_and_carry_fingerprints() {
+        let req = SweepRequest::new(
+            1_000,
+            2_000,
+            1,
+            vec![
+                CellSpec::new(Benchmark::Compress, ConfigSpec::Baseline(64)),
+                CellSpec::new(Benchmark::Compress, ConfigSpec::Precon(64, 32)),
+            ],
+        );
+        let cells = req.sweep_cells();
+        assert!(Arc::ptr_eq(&cells[0].program, &cells[1].program));
+        for (cell, spec) in cells.iter().zip(&req.cells) {
+            assert_eq!(cell.key, Some(spec.fingerprint(1_000, 2_000, 1)));
+        }
     }
 }

@@ -1,177 +1,39 @@
-//! Integration tests: the supervisor in-process, and the daemon
-//! end-to-end over a real Unix socket (served from a test thread).
+//! Integration tests: the daemon end-to-end over a real Unix socket
+//! (served from a test thread), against serial in-process references.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use tpc_experiments::{run_cells, RunParams};
+use tpc_experiments::{run_cells, CellBudget, RunOptions};
 use tpc_service::{
-    digest_results, prepare_cells, run_supervised, serve, CellSpec, ChaosPlan, Client, ConfigSpec,
-    Poison, ResultCache, RetryPolicy, ServerOptions, SupervisorOptions, SweepRequest,
+    digest_results, serve, CellSpec, Client, ConfigSpec, ServerOptions, SweepRequest,
 };
 use tpc_workloads::Benchmark;
 
 const WARMUP: u64 = 1_000;
 const MEASURE: u64 = 2_000;
 
+fn cell(benchmark: Benchmark, config: &str) -> CellSpec {
+    CellSpec::new(benchmark, ConfigSpec::parse(config).unwrap())
+}
+
 fn small_grid() -> Vec<CellSpec> {
     vec![
-        CellSpec::new(
-            Benchmark::Compress,
-            ConfigSpec::parse("baseline:64").unwrap(),
-        ),
-        CellSpec::new(
-            Benchmark::Compress,
-            ConfigSpec::parse("combined:64:32").unwrap(),
-        ),
-        CellSpec::new(Benchmark::Li, ConfigSpec::parse("precon:64:32").unwrap()),
+        cell(Benchmark::Compress, "baseline:64"),
+        cell(Benchmark::Compress, "combined:64:32"),
+        cell(Benchmark::Li, "precon:64:32"),
     ]
 }
 
 fn request(cells: Vec<CellSpec>) -> SweepRequest {
-    let mut req = SweepRequest::new(WARMUP, MEASURE, 1, cells);
-    req.policy = RetryPolicy {
-        max_attempts: 3,
-        backoff_base_ms: 1,
-        backoff_cap_ms: 4,
-        backoff_seed: 7,
-    };
-    req
+    SweepRequest::new(WARMUP, MEASURE, 1, cells)
 }
 
 fn serial_reference(req: &SweepRequest) -> Vec<tpc_processor::SimStats> {
-    let cells: Vec<tpc_experiments::SweepCell> = prepare_cells(req)
+    run_cells(&req.sweep_cells(), req.run_params(), &RunOptions::new(1))
         .into_iter()
-        .map(|p| tpc_experiments::SweepCell::new(p.program, p.config))
-        .collect();
-    run_cells(
-        &cells,
-        RunParams {
-            warmup: req.warmup,
-            measure: req.measure,
-            seed: req.seed,
-            jobs: 1,
-        },
-    )
-}
-
-fn supervise(req: &SweepRequest, cache: Option<&ResultCache>) -> tpc_service::SweepOutcome {
-    let prepared = prepare_cells(req);
-    run_supervised(
-        &prepared,
-        &SupervisorOptions::for_request(req, 2),
-        cache,
-        &req.chaos,
-        &|_| {},
-    )
-}
-
-#[test]
-fn supervised_clean_sweep_matches_serial_reference() {
-    let req = request(small_grid());
-    let reference = serial_reference(&req);
-    let outcome = supervise(&req, None);
-    assert_eq!(outcome.failed_count(), 0);
-    assert_eq!(outcome.retries, 0);
-    for (cell, expected) in outcome.cells.iter().zip(&reference) {
-        assert_eq!(cell.result.as_ref().unwrap(), expected, "bit-identical");
-        assert_eq!(cell.attempts, 1);
-    }
-    assert_eq!(outcome.digest(), digest_results(reference.iter().map(Some)));
-}
-
-#[test]
-fn poisoned_cells_recover_via_retries_bit_identically() {
-    let clean = request(small_grid());
-    let reference = serial_reference(&clean);
-    let mut req = clean.clone();
-    req.cells[0].poison = Poison {
-        panic_attempts: 1,
-        hang_attempts: 0,
-    };
-    req.cells[1].poison = Poison {
-        panic_attempts: 0,
-        hang_attempts: 2,
-    };
-    let outcome = supervise(&req, None);
-    assert_eq!(outcome.failed_count(), 0, "{:?}", outcome.manifest());
-    assert_eq!(outcome.cells[0].attempts, 2, "one panic then success");
-    assert_eq!(outcome.cells[1].attempts, 3, "two timeouts then success");
-    assert_eq!(outcome.retries, 3);
-    for (cell, expected) in outcome.cells.iter().zip(&reference) {
-        assert_eq!(cell.result.as_ref().unwrap(), expected);
-    }
-}
-
-#[test]
-fn permanent_failure_degrades_into_manifest() {
-    let mut req = request(small_grid());
-    req.cells[2].poison.panic_attempts = u32::MAX;
-    let outcome = supervise(&req, None);
-    assert_eq!(outcome.ok_count(), 2, "other cells unaffected");
-    let manifest = outcome.manifest();
-    assert_eq!(manifest.len(), 1);
-    assert_eq!(manifest[0].index, 2);
-    assert_eq!(manifest[0].kind, "panic");
-    assert_eq!(
-        manifest[0].attempts, req.policy.max_attempts,
-        "attempts bounded by policy"
-    );
-}
-
-#[test]
-fn killed_worker_is_resurrected_and_cell_rerun() {
-    let clean = request(small_grid());
-    let reference = serial_reference(&clean);
-    let mut req = clean;
-    req.chaos = ChaosPlan {
-        kill_worker: vec![(1, 1)],
-        fail_cache_writes: vec![],
-    };
-    let outcome = supervise(&req, None);
-    assert_eq!(outcome.workers_killed, 1);
-    assert_eq!(outcome.failed_count(), 0);
-    assert_eq!(
-        outcome.cells[1].attempts, 1,
-        "a worker kill does not consume an attempt"
-    );
-    assert_eq!(outcome.cells[1].result.as_ref().unwrap(), &reference[1]);
-}
-
-#[test]
-fn memoization_replays_cells_across_sweeps() {
-    let req = request(small_grid());
-    let cache = ResultCache::in_memory();
-    let first = supervise(&req, Some(&cache));
-    assert_eq!(first.cache_hits, 0);
-    let second = supervise(&req, Some(&cache));
-    assert_eq!(second.cache_hits, 3, "every cell replayed");
-    assert!(second.cells.iter().all(|c| c.cached && c.attempts == 0));
-    assert_eq!(first.digest(), second.digest());
-    // An overlapping sweep only pays for the new cell.
-    let mut bigger = req.clone();
-    bigger.cells.push(CellSpec::new(
-        Benchmark::Go,
-        ConfigSpec::parse("baseline:64").unwrap(),
-    ));
-    let third = supervise(&bigger, Some(&cache));
-    assert_eq!(third.cache_hits, 3);
-    assert_eq!(third.cells[3].attempts, 1);
-}
-
-#[test]
-fn injected_cache_write_failure_keeps_results_correct() {
-    let req0 = request(small_grid());
-    let reference = serial_reference(&req0);
-    let mut req = req0;
-    req.chaos.fail_cache_writes = vec![0];
-    let cache = ResultCache::in_memory();
-    let outcome = supervise(&req, Some(&cache));
-    assert!(outcome.cells[0].cache_write_failed);
-    assert_eq!(outcome.cells[0].result.as_ref().unwrap(), &reference[0]);
-    // The failed write means cell 0 re-runs next sweep.
-    let again = supervise(&req, Some(&cache));
-    assert!(!again.cells[0].cached && again.cells[1].cached);
+        .map(|run| run.result.expect("reference cell succeeds"))
+        .collect()
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -183,8 +45,9 @@ fn temp_path(name: &str) -> PathBuf {
     ))
 }
 
-/// Serves on a background thread; returns the socket path.
-fn start_test_daemon(allow_chaos: bool) -> (PathBuf, std::thread::JoinHandle<()>) {
+/// Serves on a background thread; returns a connected client and the
+/// server thread.
+fn start_test_daemon(allow_chaos: bool) -> (Client, PathBuf, std::thread::JoinHandle<()>) {
     let socket = temp_path("sock");
     let opts = ServerOptions {
         socket: socket.clone(),
@@ -196,13 +59,18 @@ fn start_test_daemon(allow_chaos: bool) -> (PathBuf, std::thread::JoinHandle<()>
     let handle = std::thread::spawn(move || {
         serve(&opts).expect("serve");
     });
-    (socket, handle)
+    let client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
+    (client, socket, handle)
+}
+
+fn stop(mut client: Client, handle: std::thread::JoinHandle<()>) {
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 #[test]
 fn socket_end_to_end_sweep_ping_and_shutdown() {
-    let (socket, handle) = start_test_daemon(false);
-    let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
+    let (mut client, socket, handle) = start_test_daemon(false);
     client.ping().unwrap();
     let stats = client.cache_stats().unwrap();
     assert_eq!(stats.entries, 0);
@@ -215,76 +83,114 @@ fn socket_end_to_end_sweep_ping_and_shutdown() {
     for (got, expected) in report.stats.iter().zip(&reference) {
         assert_eq!(got.as_ref().unwrap(), expected);
     }
+    assert_eq!(report.attempts, [1, 1, 1], "each cell ran exactly once");
+    assert_eq!((report.retries, report.workers_killed), (0, 0));
 
     // The daemon memoized the sweep (in-memory cache).
     let report = client.sweep(&req).unwrap();
     assert_eq!(report.cached_count(), 3);
+    assert_eq!(report.attempts, [0, 0, 0]);
     assert!(client.cache_stats().unwrap().entries >= 3);
 
-    client.shutdown().unwrap();
-    handle.join().unwrap();
+    stop(client, handle);
     assert!(!socket.exists(), "socket removed on shutdown");
 }
 
 #[test]
-fn socket_sweep_streams_manifest_for_poisoned_cell() {
-    let (socket, handle) = start_test_daemon(false);
-    let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
+fn overlapping_sweep_only_pays_for_new_cells() {
+    let (mut client, _, handle) = start_test_daemon(false);
+    let req = request(small_grid());
+    let first = client.sweep(&req).unwrap();
+    let mut bigger = req.clone();
+    bigger.cells.push(cell(Benchmark::Go, "baseline:64"));
+    let second = client.sweep(&bigger).unwrap();
+    assert_eq!(second.cached, [true, true, true, false]);
+    assert_eq!(second.stats[..3], first.stats[..]);
+    assert_eq!(
+        second.stats[3].as_ref(),
+        serial_reference(&bigger).get(3),
+        "the new cell matches a serial run"
+    );
+    stop(client, handle);
+}
+
+#[test]
+fn socket_sweep_streams_manifest_for_panicking_cell() {
+    let (mut client, _, handle) = start_test_daemon(false);
     let mut req = request(small_grid());
-    req.cells[0].poison.panic_attempts = u32::MAX;
+    // 63 trace-cache entries trip the trace cache's geometry assertion.
+    req.cells[0] = cell(Benchmark::Compress, "baseline:63");
     let report = client.sweep(&req).unwrap();
-    assert_eq!(report.ok_count(), 2);
+    assert_eq!(report.ok_count(), 2, "other cells unaffected");
     assert_eq!(report.manifest.len(), 1);
     assert_eq!(report.manifest[0].index, 0);
     assert_eq!(report.manifest[0].kind, "panic");
-    assert!(report.manifest[0].message.contains("poison"));
-    client.shutdown().unwrap();
-    handle.join().unwrap();
+    assert!(report.manifest[0].message.contains("entries"));
+    stop(client, handle);
+}
+
+#[test]
+fn starved_budget_times_out_every_cell_without_hanging() {
+    let (mut client, _, handle) = start_test_daemon(false);
+    let mut req = request(small_grid());
+    req.budget = CellBudget {
+        cycles_per_instruction: 0,
+        floor: 50,
+    };
+    let report = client.sweep(&req).unwrap();
+    assert_eq!(report.ok_count(), 0);
+    assert_eq!(report.manifest.len(), 3);
+    assert!(report.manifest.iter().all(|e| e.kind == "timeout"));
+    // Failures are never memoized: the default budget then succeeds.
+    let report = client.sweep(&request(small_grid())).unwrap();
+    assert_eq!((report.ok_count(), report.cached_count()), (3, 0));
+    stop(client, handle);
+}
+
+#[test]
+fn injected_cache_write_failure_keeps_results_correct() {
+    let (mut client, _, handle) = start_test_daemon(true);
+    let clean = request(small_grid());
+    let reference = serial_reference(&clean);
+    let mut req = clean.clone();
+    req.chaos.fail_cache_writes = vec![0];
+    let report = client.sweep(&req).unwrap();
+    assert_eq!(report.cache_write_failures, 1);
+    assert_eq!(report.stats[0].as_ref(), Some(&reference[0]));
+    // The failed write means cell 0 re-runs next sweep.
+    let again = client.sweep(&clean).unwrap();
+    assert_eq!(again.cached, [false, true, true]);
+    assert_eq!(again.cache_write_failures, 0);
+    stop(client, handle);
 }
 
 #[test]
 fn chaos_plans_are_refused_without_the_flag() {
-    let (socket, handle) = start_test_daemon(false);
-    let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
+    let (mut client, _, handle) = start_test_daemon(false);
     let mut req = request(small_grid());
-    req.chaos.kill_worker.push((0, 1));
+    req.chaos.fail_cache_writes.push(0);
     let err = client.sweep(&req).unwrap_err();
     assert!(err.to_string().contains("allow-chaos"), "{err}");
     // The connection survives the refusal.
     client.ping().unwrap();
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
-fn chaos_plans_are_accepted_with_the_flag() {
-    let (socket, handle) = start_test_daemon(true);
-    let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
-    let mut req = request(small_grid());
-    req.chaos.kill_worker.push((2, 1));
-    let report = client.sweep(&req).unwrap();
-    assert_eq!(report.workers_killed, 1);
-    assert_eq!(report.ok_count(), 3);
-    client.shutdown().unwrap();
-    handle.join().unwrap();
+    stop(client, handle);
 }
 
 #[test]
 fn malformed_requests_get_errors_not_disconnects() {
-    let (socket, handle) = start_test_daemon(false);
-    let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
+    let (mut client, _, handle) = start_test_daemon(false);
     for bad in [
         "not json at all",
         "{\"op\":\"warp\"}",
         "{\"no_op\":true}",
         "{\"op\":\"sweep\",\"cells\":[]}",
         "{\"op\":\"sweep\",\"cells\":[{\"benchmark\":\"nope\",\"config\":\"baseline:64\"}]}",
+        "{\"op\":\"sweep\",\"cells\":[{\"benchmark\":\"gcc\",\"config\":\"baseline:4294967360\"}]}",
     ] {
         client.send_line(bad).unwrap();
         let line = client.next_line().unwrap();
         assert!(line.contains("\"ok\":false"), "{bad} -> {line}");
     }
     client.ping().unwrap();
-    client.shutdown().unwrap();
-    handle.join().unwrap();
+    stop(client, handle);
 }

@@ -20,7 +20,7 @@ cargo fmt --check
 echo "== self-hosted lint gate (tpc_lint: determinism/panic/conformance rules) =="
 # Parses the workspace's own source and enforces what clippy cannot:
 # no unordered collections, wall clocks, or thread identity in result
-# paths; panic hygiene in supervised worker/daemon code; SimStats
+# paths; panic hygiene in sweep-worker/store/daemon code; SimStats
 # codec / FaultKind / service-protocol / --jobs / frontend-matrix
 # conformance. Fails on
 # any unallowlisted finding or stale allowlist entry; every allowlist
@@ -65,8 +65,10 @@ run_degradation() {
 run_degradation > /tmp/degradation.reference.md
 run_degradation --checkpoint "$ckpt" > /tmp/degradation.full.md
 diff /tmp/degradation.reference.md /tmp/degradation.full.md
-# Interrupt: keep the header plus the first 5 recorded cells, then
-# resume. The resumed sweep re-runs only what is missing and must
+# Interrupt: the checkpoint is a result-store file (one header line,
+# then one record per cell keyed by its content fingerprint), so
+# `head -n 6` keeps the header plus the first 5 recorded cells. The
+# resumed sweep looks every cell up, re-runs only the misses and must
 # print byte-identical output.
 head -n 6 "$ckpt" > "$ckpt.cut" && mv "$ckpt.cut" "$ckpt"
 run_degradation --checkpoint "$ckpt" > /tmp/degradation.resumed.md
@@ -87,12 +89,14 @@ rm /tmp/analysis.j1.md /tmp/analysis.j4.md /tmp/analysis.j1.json
 echo "== bench_throughput --quick =="
 cargo run -p tpc-experiments --release --offline --bin bench_throughput -- --quick
 
-echo "== sweep-service chaos gate (daemon kill/retry/memoize vs serial reference) =="
-# Spawns real tpc_service daemons and attacks them: poison cells that
-# panic/hang, a worker killed mid-cell, an injected cache-write
-# failure, a SIGKILL'd daemon restarted on a torn cache file. Merged
-# results must stay bit-identical to a clean serial run_cells
-# reference; permanent failures must degrade into the error manifest.
+echo "== sweep-service chaos gate (daemon kill/contain/memoize vs serial reference) =="
+# Spawns real tpc_service daemons and attacks them: a starved cycle
+# budget that times every cell out, a baseline:63 cell that panics on
+# the trace cache's geometry assertion, an injected cache-write
+# failure, a SIGKILL'd daemon restarted on a torn cache file, a cache
+# path that is a directory. Merged results must stay bit-identical to
+# a clean serial run_cells reference; failed cells must degrade into
+# the error manifest while the sweep completes.
 cargo build -p tpc-service --release --offline
 cargo run -p tpc-service --release --offline --bin chaos_service -- --quick
 
