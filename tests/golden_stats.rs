@@ -2,9 +2,12 @@
 //! tier-1.
 //!
 //! Every benchmark and every shipped `examples/asm/*.asm` program runs
-//! under four standard configurations at a small window, and the FNV
-//! digest of each cell's `SimStats::to_words()` must match the
-//! checked-in `tests/golden_stats.txt`. A refactor that claims to be
+//! under four standard configurations at a small window, and every
+//! benchmark also runs under the preprocessing configurations with an
+//! all-kinds fault plan (preconstructed entries invalidated or
+//! corrupted before promotion). The FNV digest of each cell's
+//! `SimStats::to_words()` must match the checked-in
+//! `tests/golden_stats.txt`. A refactor that claims to be
 //! behaviour-preserving proves it by leaving this table untouched.
 //!
 //! A deliberate timing-model change regenerates the table with
@@ -13,6 +16,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tpc_core::FaultPlan;
 use tpc_exec::AsmProgram;
 use tpc_experiments::{run_cells, sweep_grid, Fnv64, RunOptions, RunParams, SweepCell};
 use tpc_processor::{SimConfig, SimStats};
@@ -25,6 +29,14 @@ const CONFIGS: [&str; 4] = [
     "combined:128:128",
     "unified:256:1:4096",
 ];
+
+/// Fault plan of the faulted rows: every kind at 40 per mille per
+/// cycle, as in the fault-injection differential smoke.
+const FAULTS: FaultPlan = FaultPlan {
+    seed: 1,
+    kinds: tpc_core::FAULTS_ALL,
+    per_mille: 40,
+};
 
 const PARAMS: RunParams = RunParams {
     warmup: 20_000,
@@ -50,6 +62,27 @@ fn configs() -> Vec<SimConfig> {
                 .to_sim_config()
         })
         .collect()
+}
+
+/// The faulted configurations: split and unified storage, both with
+/// preprocessing, so traces that enter the trace cache by promotion
+/// are covered on both stores.
+fn faulted_configs() -> Vec<(&'static str, SimConfig)> {
+    vec![
+        (
+            "combined:128:128+faults",
+            ConfigSpec::parse("combined:128:128")
+                .expect("standard config")
+                .to_sim_config()
+                .with_faults(FAULTS),
+        ),
+        (
+            "unified:256:1:4096+preprocess+faults",
+            SimConfig::unified(256, 1, 4096)
+                .with_preprocess()
+                .with_faults(FAULTS),
+        ),
+    ]
 }
 
 fn digest(stats: &SimStats) -> u64 {
@@ -98,6 +131,14 @@ fn compute() -> Vec<(String, &'static str, u64)> {
         for (config, run) in CONFIGS.iter().zip(&runs) {
             let stats = run.result.as_ref().expect("example cell succeeds");
             rows.push((name.clone(), *config, digest(stats)));
+        }
+    }
+    let (labels, faulted): (Vec<&'static str>, Vec<SimConfig>) =
+        faulted_configs().into_iter().unzip();
+    let grid = sweep_grid(&Benchmark::ALL, &faulted, PARAMS);
+    for (benchmark, per_config) in Benchmark::ALL.iter().zip(&grid) {
+        for (config, stats) in labels.iter().zip(per_config) {
+            rows.push((benchmark.name().to_string(), *config, digest(stats)));
         }
     }
     rows
