@@ -53,9 +53,6 @@ pub struct EngineConfig {
     pub decode_width: u32,
     /// Trace start points a region worklist can hold.
     pub worklist_cap: usize,
-    /// Run the preprocessing pipeline over preconstructed traces
-    /// (extended pipeline model, Section 6).
-    pub preprocess: bool,
     /// Seed loop-exit regions at all four phases of the mod-4
     /// alignment lattice instead of only the branch fall-through.
     /// Costs extra fetch/buffer resources; measured as an ablation.
@@ -87,7 +84,6 @@ impl Default for EngineConfig {
             decision_depth: 3,
             decode_width: 4,
             worklist_cap: 8,
-            preprocess: false,
             lattice_seed_loop_exits: false,
             track_built_keys: false,
             fetch_width: 1,
@@ -162,7 +158,10 @@ struct Region {
     start: Addr,
     prefetch: PrefetchCache,
     worklist: VecDeque<Addr>,
-    seen: BTreeSet<Addr>,
+    /// Trace start points ever queued for this region, sorted (a
+    /// region queues at most a handful, so a sorted vector beats a
+    /// tree).
+    seen: Vec<Addr>,
     /// Line address a constructor is stalled on.
     want_line: Option<Addr>,
     /// In-flight line fetch: (address, cycle it arrives).
@@ -399,7 +398,9 @@ impl PreconEngine {
                 }
                 _ => vec![sp.addr],
             };
-            let seen: BTreeSet<Addr> = seeds.iter().copied().collect();
+            let mut seen = seeds.clone();
+            seen.sort_unstable();
+            seen.dedup();
             *slot = Some(Region {
                 id: self.next_region_id,
                 start: sp.addr,
@@ -528,9 +529,9 @@ impl PreconEngine {
             };
             region_id = region.id;
             if let Some(succ) = trace.successor() {
-                if !region.seen.contains(&succ) {
+                if let Err(at) = region.seen.binary_search(&succ) {
                     if region.worklist.len() < self.config.worklist_cap {
-                        region.seen.insert(succ);
+                        region.seen.insert(at, succ);
                         region.worklist.push_back(succ);
                     } else {
                         self.stats.successors_dropped += 1;
@@ -541,11 +542,8 @@ impl PreconEngine {
         if store.contains_cached(trace.key()) {
             self.stats.traces_already_cached += 1;
         } else {
-            let mut trace = trace;
-            if self.config.preprocess {
-                let info = crate::preprocess::preprocess(&trace);
-                trace.set_preprocess(info);
-            }
+            // Filed unprocessed: the store preprocesses the trace only
+            // if a fetch promotes it into the trace cache.
             if !store.fill_precon(trace, region_id) {
                 // Buffer bound: the primary per-region resource limit.
                 self.retire_region(slot, RegionEnd::BufferBound);
@@ -712,6 +710,7 @@ enum RegionEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::ALIGN_QUANTUM;
     use tpc_isa::model::OutcomeModel;
     use tpc_isa::{BranchCond, ProgramBuilder, Reg};
     use tpc_mem::InstrCacheConfig;
@@ -892,22 +891,55 @@ mod tests {
     }
 
     #[test]
-    fn preprocess_flag_annotates_traces() {
-        let p = call_program();
+    fn region_seen_lists_stay_sorted_and_cover_the_worklist() {
+        // A loop exit seeded at all four lattice phases starts the
+        // region with four `seen` entries; successors found later are
+        // inserted in order, and every queued start point is in it.
+        let mut b = ProgramBuilder::new();
+        let top = b.push(Op::AddImm {
+            rd: r(1),
+            rs1: r(1),
+            imm: 1,
+        });
+        b.push_branch(
+            Op::Branch {
+                cond: BranchCond::Ne,
+                rs1: r(1),
+                rs2: r(2),
+                target: top,
+            },
+            OutcomeModel::Loop { trip: 10 },
+        );
+        for _ in 0..40 {
+            b.push(Op::AddImm {
+                rd: r(3),
+                rs1: r(3),
+                imm: 1,
+            });
+        }
+        b.push(Op::Halt);
+        let p = b.build().unwrap();
         let mut e = PreconEngine::new(EngineConfig {
-            preprocess: true,
+            lattice_seed_loop_exits: true,
             ..EngineConfig::default()
         });
-        e.observe_dispatch(Addr::new(0), p.fetch(Addr::new(0)).unwrap(), 1);
-        let mut store = drive(&mut e, &p, 200);
-        let key = TraceKey {
-            start: Addr::new(1),
-            branch_count: 0,
-            outcomes: 0,
-        };
-        let f = store.fetch(key);
-        assert!(f.hit, "trace built");
-        assert!(f.preprocess.is_some());
+        let br_pc = Addr::new(1);
+        e.observe_dispatch(br_pc, p.fetch(br_pc).unwrap(), 1);
+        let (mut ic, bim, mut store) = harness();
+        let mut largest = 0;
+        for cycle in 0..300 {
+            e.tick(cycle, true, &p, &mut ic, &bim, &mut store);
+            for region in e.regions.iter().flatten() {
+                assert!(region.seen.windows(2).all(|w| w[0] < w[1]));
+                assert!(region
+                    .worklist
+                    .iter()
+                    .all(|a| region.seen.binary_search(a).is_ok()));
+                largest = largest.max(region.seen.len());
+            }
+        }
+        assert!(largest > ALIGN_QUANTUM, "successors joined the seeds");
+        assert!(e.stats().traces_built > ALIGN_QUANTUM as u64);
     }
 
     #[test]

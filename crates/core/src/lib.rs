@@ -21,7 +21,10 @@
 //!   constructors, driven one tick per cycle by the processor.
 //! * [`mod@preprocess`] — the extended-pipeline trace preprocessing
 //!   (instruction scheduling, constant propagation, combined
-//!   shift-add ALU) of Section 6.
+//!   shift-add ALU) of Section 6, applied in [`storage`] when a trace
+//!   enters the trace cache.
+//! * [`inline_vec`] — the fixed-capacity per-trace tables that keep
+//!   preprocessing and dispatch free of heap allocation.
 //! * [`faults`] — deterministic fault injection over every one of
 //!   the mechanisms above, used by the differential oracle to prove
 //!   preconstruction is correctness-neutral: any seeded fault
@@ -34,6 +37,7 @@
 pub mod constructor;
 pub mod engine;
 pub mod faults;
+pub mod inline_vec;
 pub mod precon_buffer;
 pub mod preprocess;
 mod slots;
@@ -47,6 +51,7 @@ pub use faults::{
     EngineFault, FaultEvent, FaultKind, FaultPlan, FaultState, FaultStats, FAULTS_ALL,
     NUM_FAULT_KINDS,
 };
+pub use inline_vec::InlineVec;
 pub use precon_buffer::{PreconBuffers, PreconStats};
 pub use preprocess::{preprocess, PreprocessInfo};
 pub use start_stack::{StartPointStack, StartReason};

@@ -26,11 +26,32 @@
 //! issue order change, which is exactly the paper's claim that
 //! "instructions within a trace need not be identical to the static
 //! program, just functionally equivalent".
+//!
+//! Preprocessing runs when a trace enters the trace-cache role: on a
+//! demand fill from the slow path, or when a preconstructed trace is
+//! promoted out of the preconstruction side on its first use (see
+//! [`crate::storage`]). Preconstructed traces that are never used are
+//! never preprocessed. The info is a pure function of the trace and
+//! costs no cycles, so where it is computed cannot change timing.
+//!
+//! Every table here has one entry per trace instruction and lives in
+//! an [`InlineVec`], so [`preprocess`] and [`trace_deps`] allocate
+//! nothing.
 
-use crate::trace::Trace;
+use crate::inline_vec::InlineVec;
+use crate::trace::{Trace, MAX_TRACE_LEN};
 use tpc_isa::Op;
 #[cfg(test)]
 use tpc_isa::OpClass;
+
+/// A table with one entry per instruction of a trace.
+pub type PerInstr<T> = InlineVec<T, MAX_TRACE_LEN>;
+
+/// One instruction's intra-trace dependences: indices of earlier
+/// instructions in the same trace, in the order they were found.
+/// They are distinct and smaller than the instruction's own index, so
+/// [`MAX_TRACE_LEN`] bounds them.
+pub type DepList = InlineVec<u8, MAX_TRACE_LEN>;
 
 /// R10000-like execution latencies, shared by the backend timing
 /// model and the preprocessing scheduler.
@@ -62,17 +83,17 @@ pub mod latency {
 pub struct PreprocessInfo {
     /// Post-transformation intra-trace dependences: `deps[i]` lists
     /// the trace indices instruction `i` must wait for.
-    pub deps: Vec<Vec<u8>>,
+    pub deps: PerInstr<DepList>,
     /// `true` for instructions whose result was computed at fill
     /// time (constant propagation): they have no input dependences.
-    pub const_folded: Vec<bool>,
+    pub const_folded: PerInstr<bool>,
     /// `collapsed_into[i] = Some(j)` when instruction `i` executes on
     /// the combined ALU fused with its producer `j` (so `i` depends
     /// on `j`'s inputs instead of on `j`).
-    pub collapsed: Vec<Option<u8>>,
+    pub collapsed: PerInstr<Option<u8>>,
     /// Issue priority: instruction indices, highest priority first
     /// (critical-path list schedule).
-    pub schedule: Vec<u8>,
+    pub schedule: PerInstr<u8>,
 }
 
 impl PreprocessInfo {
@@ -102,11 +123,11 @@ impl PreprocessInfo {
 /// `i`'s source registers. (Memory dependences within a trace are
 /// enforced by the ARB in the modelled machine and are not part of
 /// the scheduling dependence graph, as in the paper.)
-pub fn trace_deps(trace: &Trace) -> Vec<Vec<u8>> {
+pub fn trace_deps(trace: &Trace) -> PerInstr<DepList> {
     let mut last_writer: [Option<u8>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-    let mut deps = Vec::with_capacity(trace.len());
+    let mut deps = PerInstr::new();
     for (i, ti) in trace.instrs().iter().enumerate() {
-        let mut d: Vec<u8> = Vec::new();
+        let mut d = DepList::new();
         for src in ti.op.sources().iter() {
             if let Some(w) = last_writer[src.index()] {
                 if !d.contains(&w) {
@@ -116,7 +137,7 @@ pub fn trace_deps(trace: &Trace) -> Vec<Vec<u8>> {
         }
         deps.push(d);
         if let Some(rd) = ti.op.dest() {
-            last_writer[rd.index()] = Some(i as u8);
+            last_writer[rd.index()] = Some(i as u8); // i < MAX_TRACE_LEN
         }
     }
     deps
@@ -157,7 +178,7 @@ pub fn preprocess(trace: &Trace) -> PreprocessInfo {
     // Known-at-fill-time register values. A write by an instruction
     // with any unknown input kills the register.
     let mut known: [Option<i64>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-    let mut const_folded = vec![false; n];
+    let mut const_folded = PerInstr::filled(false, n);
     for (i, ti) in instrs.iter().enumerate() {
         let op = &ti.op;
         let val = |r: tpc_isa::Reg| -> Option<i64> {
@@ -199,21 +220,15 @@ pub fn preprocess(trace: &Trace) -> PreprocessInfo {
     }
 
     // ---- dependence graph with folding applied --------------------
-    let raw = trace_deps(trace);
-    let mut deps: Vec<Vec<u8>> = raw
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            if const_folded[i] {
-                Vec::new()
-            } else {
-                d.clone()
-            }
-        })
-        .collect();
+    let mut deps = trace_deps(trace);
+    for (d, &folded) in deps.iter_mut().zip(const_folded.iter()) {
+        if folded {
+            *d = DepList::new();
+        }
+    }
 
     // ---- combined-ALU collapsing ----------------------------------
-    let mut collapsed = vec![None; n];
+    let mut collapsed = PerInstr::filled(None, n);
     for i in 0..n {
         if const_folded[i] || !is_simple_consumer(&instrs[i].op) {
             continue;
@@ -227,37 +242,34 @@ pub fn preprocess(trace: &Trace) -> PreprocessInfo {
         if let Some(j) = candidate {
             collapsed[i] = Some(j);
             // i now waits on j's inputs, not on j.
-            let mut nd: Vec<u8> = deps[i].iter().copied().filter(|&d| d != j).collect();
-            for &jd in &deps[j as usize] {
+            let producer_deps = deps[j as usize];
+            let nd = &mut deps[i];
+            nd.retain(|&d| d != j);
+            for &jd in &producer_deps {
                 if !nd.contains(&jd) {
                     nd.push(jd);
                 }
             }
-            deps[i] = nd;
         }
     }
 
     // ---- list schedule --------------------------------------------
     // Priority = critical-path height over the final dependence
-    // graph. Ties broken by program order (stable).
-    let mut consumers: Vec<Vec<u8>> = vec![Vec::new(); n];
-    for (i, d) in deps.iter().enumerate() {
-        for &j in d {
-            consumers[j as usize].push(i as u8);
+    // graph. Ties broken by program order, which makes the order
+    // total (so an unstable sort is deterministic). Dependences point
+    // strictly backwards, so walking the trace in reverse finalizes
+    // every consumer's height before its producers read it.
+    let mut height = [0u32; MAX_TRACE_LEN];
+    let mut tail = [0u32; MAX_TRACE_LEN];
+    for i in (0..n).rev() {
+        height[i] = latency::op_latency(instrs[i].op.class()) + tail[i];
+        for &j in &deps[i] {
+            let j = j as usize;
+            tail[j] = tail[j].max(height[i]);
         }
     }
-    let mut height = vec![0u32; n];
-    for i in (0..n).rev() {
-        let lat = latency::op_latency(instrs[i].op.class());
-        let tail = consumers[i]
-            .iter()
-            .map(|&c| height[c as usize])
-            .max()
-            .unwrap_or(0);
-        height[i] = lat + tail;
-    }
-    let mut schedule: Vec<u8> = (0..n as u8).collect();
-    schedule.sort_by(|&a, &b| height[b as usize].cmp(&height[a as usize]).then(a.cmp(&b)));
+    let mut schedule: PerInstr<u8> = (0..n as u8).collect(); // n <= MAX_TRACE_LEN
+    schedule.sort_unstable_by(|&a, &b| height[b as usize].cmp(&height[a as usize]).then(a.cmp(&b)));
 
     PreprocessInfo {
         deps,
@@ -309,9 +321,9 @@ mod tests {
             }, // 2: dep 1 (latest writer)
         ]);
         let deps = trace_deps(&t);
-        assert_eq!(deps[0], Vec::<u8>::new());
-        assert_eq!(deps[1], vec![0]);
-        assert_eq!(deps[2], vec![1]);
+        assert!(deps[0].is_empty());
+        assert_eq!(deps[1][..], [0]);
+        assert_eq!(deps[2][..], [1]);
     }
 
     #[test]
@@ -357,7 +369,7 @@ mod tests {
         ]);
         let info = preprocess(&t);
         assert!(!info.const_folded[2]);
-        assert_eq!(info.deps[2], vec![1]);
+        assert_eq!(info.deps[2][..], [1]);
     }
 
     #[test]
@@ -382,7 +394,7 @@ mod tests {
         let info = preprocess(&t);
         assert_eq!(info.collapsed[2], Some(1));
         // 2 now depends on 1's inputs (the load), not on 1.
-        assert_eq!(info.deps[2], vec![0]);
+        assert_eq!(info.deps[2][..], [0]);
         assert_eq!(info.collapsed_count(), 1);
     }
 
@@ -460,10 +472,10 @@ mod tests {
             },
         ]);
         let info = preprocess(&t);
-        let mut s = info.schedule.clone();
+        let mut s = info.schedule;
         s.sort_unstable();
         let expect: Vec<u8> = (0..t.len() as u8).collect();
-        assert_eq!(s, expect);
+        assert_eq!(s[..], expect[..]);
     }
 
     #[test]
@@ -520,7 +532,7 @@ mod tests {
             },
         );
         let info = preprocess(&t);
-        assert_eq!(info.deps[1], vec![0]);
+        assert_eq!(info.deps[1][..], [0]);
     }
 
     #[test]

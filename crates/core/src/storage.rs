@@ -12,9 +12,17 @@
 //! partition, re-balanced at epoch boundaries from hit/miss feedback.
 //! No flush is needed on re-partition because indexing never changes;
 //! only fill placement does.
+//!
+//! Both stores own the extended pipeline's preprocessing step (see
+//! [`mod@crate::preprocess`]) when it is switched on: a trace is
+//! preprocessed exactly when it enters the trace-cache role — a demand
+//! fill, or the promotion of a preconstructed trace on its first use.
+//! Preconstructed traces wait unprocessed, so the ones that are never
+//! used cost nothing, and later trace-cache hits hand out the stored
+//! annotations by refcount.
 
 use crate::precon_buffer::PreconBuffers;
-use crate::preprocess::PreprocessInfo;
+use crate::preprocess::{preprocess, PreprocessInfo};
 use crate::slots::{probe_or_free, ProbeSlot};
 use crate::trace::Trace;
 use crate::trace_cache::TraceCache;
@@ -76,12 +84,15 @@ pub trait TraceStore: std::fmt::Debug {
     /// engine's pre-fill duplicate check; no state change).
     fn contains_cached(&self, key: TraceKey) -> bool;
 
-    /// Fill from the processor's fill unit (slow-path build).
-    fn fill_demand(&mut self, trace: Trace);
+    /// Fill from the processor's fill unit (slow-path build). Returns
+    /// the preprocessing annotations the stored trace carries, for the
+    /// instance the processor dispatches.
+    fn fill_demand(&mut self, trace: Trace) -> Option<Arc<PreprocessInfo>>;
 
     /// Fill from the preconstruction engine. Returns `false` when the
     /// replacement policy rejects the fill — the per-region resource
-    /// bound that terminates region exploration.
+    /// bound that terminates region exploration. The trace waits
+    /// unprocessed until a fetch promotes it.
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool;
 
     /// Aggregate counters.
@@ -117,6 +128,15 @@ pub trait TraceStore: std::fmt::Debug {
     }
 }
 
+/// Runs the preprocessing pipeline over a trace entering the
+/// trace-cache role, when the store has it switched on.
+fn admit(trace: &mut Trace, preprocessing: bool) {
+    if preprocessing {
+        let info = preprocess(trace);
+        trace.set_preprocess(info);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Split store: the paper's evaluated organization.
 // ---------------------------------------------------------------------------
@@ -129,6 +149,7 @@ pub struct SplitStore {
     tc: TraceCache,
     pb: PreconBuffers,
     counters: StoreCounters,
+    preprocessing: bool,
 }
 
 impl SplitStore {
@@ -143,7 +164,15 @@ impl SplitStore {
             tc: TraceCache::new(tc_entries),
             pb: PreconBuffers::new(pb_entries),
             counters: StoreCounters::default(),
+            preprocessing: false,
         }
+    }
+
+    /// Sets whether traces entering the trace cache (demand fills and
+    /// promotions) are preprocessed; off by default.
+    pub fn with_preprocess(mut self, on: bool) -> Self {
+        self.preprocessing = on;
+        self
     }
 
     /// The trace-cache half (stats, occupancy).
@@ -168,8 +197,9 @@ impl TraceStore for SplitStore {
                 preprocess: t.preprocess_shared(),
             };
         }
-        if let Some(t) = self.pb.take(key) {
+        if let Some(mut t) = self.pb.take(key) {
             self.counters.precon_hits += 1;
+            admit(&mut t, self.preprocessing);
             let preprocess = t.preprocess_shared();
             self.tc.fill(t);
             return StoreFetch {
@@ -186,8 +216,11 @@ impl TraceStore for SplitStore {
         self.tc.contains(key)
     }
 
-    fn fill_demand(&mut self, trace: Trace) {
+    fn fill_demand(&mut self, mut trace: Trace) -> Option<Arc<PreprocessInfo>> {
+        admit(&mut trace, self.preprocessing);
+        let info = trace.preprocess_shared();
         self.tc.fill(trace);
+        info
     }
 
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool {
@@ -308,6 +341,7 @@ pub struct UnifiedStore {
     /// diagnostics.
     adaptations: Vec<(u64, u8)>,
     epoch_index: u64,
+    preprocessing: bool,
 }
 
 const UNIFIED_WAYS: usize = 4;
@@ -341,8 +375,17 @@ impl UnifiedStore {
             epoch_misses: 0,
             adaptations: Vec::new(),
             epoch_index: 0,
+            preprocessing: false,
             config,
         }
+    }
+
+    /// Sets whether traces entering the trace-cache role (demand
+    /// fills and in-place promotions) are preprocessed; off by
+    /// default.
+    pub fn with_preprocess(mut self, on: bool) -> Self {
+        self.preprocessing = on;
+        self
     }
 
     /// Ways currently assigned to the preconstruction role.
@@ -392,11 +435,15 @@ impl TraceStore for UnifiedStore {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
+        let preprocessing = self.preprocessing;
         let mut result = StoreFetch::MISS;
         for s in self.slots[range].iter_mut().flatten() {
             if s.trace.key() == key {
                 s.stamp = clock;
                 let from_precon = s.region.take().is_some();
+                if from_precon {
+                    admit(&mut s.trace, preprocessing);
+                }
                 result = StoreFetch {
                     hit: true,
                     from_precon,
@@ -431,7 +478,9 @@ impl TraceStore for UnifiedStore {
             .any(|s| s.trace.key() == key && s.region.is_none())
     }
 
-    fn fill_demand(&mut self, trace: Trace) {
+    fn fill_demand(&mut self, mut trace: Trace) -> Option<Arc<PreprocessInfo>> {
+        admit(&mut trace, self.preprocessing);
+        let info = trace.preprocess_shared();
         self.clock += 1;
         let clock = self.clock;
         let key = trace.key();
@@ -461,6 +510,7 @@ impl TraceStore for UnifiedStore {
                 });
             }
         }
+        info
     }
 
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool {
@@ -601,6 +651,128 @@ mod tests {
         match b.push(Addr::new(start), Op::Return, Resolution::None) {
             PushResult::Complete(t) => t,
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// A short ALU chain ending in `ret`: preprocessing folds,
+    /// collapses and reorders it, so its info is not trivial.
+    fn mk_alu_trace(start: u32) -> Trace {
+        let r = tpc_isa::Reg::new;
+        let ops = [
+            Op::Load {
+                rd: r(1),
+                base: r(9),
+                offset: 0,
+            },
+            Op::AddImm {
+                rd: r(2),
+                rs1: r(1),
+                imm: 4,
+            },
+            Op::Add {
+                rd: r(3),
+                rs1: r(2),
+                rs2: r(8),
+            },
+            Op::LoadImm { rd: r(4), imm: 7 },
+            Op::AddImm {
+                rd: r(5),
+                rs1: r(4),
+                imm: 1,
+            },
+            Op::Return,
+        ];
+        let mut b = TraceBuilder::new(Addr::new(start));
+        for (i, &op) in ops.iter().enumerate() {
+            if let PushResult::Complete(t) =
+                b.push(Addr::new(start + i as u32), op, Resolution::None)
+            {
+                return t;
+            }
+        }
+        panic!("ret completes the trace")
+    }
+
+    /// A preconstructed trace waits unprocessed; its promotion
+    /// attaches `preprocess(&trace)`; a later trace-cache hit hands
+    /// out the same allocation, so nothing is recomputed.
+    fn check_lazy_promotion<S: TraceStore>(mut store: S, pending_unprocessed: impl Fn(&S) -> bool) {
+        let t = mk_alu_trace(0);
+        let key = t.key();
+        let expected = preprocess(&t);
+        assert!(expected.folded_count() + expected.collapsed_count() > 0);
+        assert!(store.fill_precon(t, 1));
+        assert!(
+            pending_unprocessed(&store),
+            "a precon fill carries no preprocessing info"
+        );
+        let promoted = store.fetch(key);
+        assert!(promoted.hit && promoted.from_precon);
+        let info = promoted.preprocess.expect("promotion preprocesses");
+        assert_eq!(*info, expected);
+        let hit = store.fetch(key);
+        assert!(hit.hit && !hit.from_precon);
+        let again = hit.preprocess.expect("the stored trace keeps its info");
+        assert!(
+            Arc::ptr_eq(&info, &again),
+            "a trace-cache hit reuses the info attached at promotion"
+        );
+    }
+
+    /// A demand fill preprocesses the trace it stores and hands the
+    /// same allocation to the fill unit and to later hits.
+    fn check_demand_fill(mut store: impl TraceStore) {
+        let t = mk_alu_trace(64);
+        let key = t.key();
+        let expected = preprocess(&t);
+        let filled = store.fill_demand(t).expect("demand fill preprocesses");
+        assert_eq!(*filled, expected);
+        let hit = store.fetch(key).preprocess.expect("stored info");
+        assert!(Arc::ptr_eq(&filled, &hit));
+    }
+
+    #[test]
+    fn split_promotion_preprocesses_once() {
+        check_lazy_promotion(SplitStore::new(64, 32).with_preprocess(true), |s| {
+            s.buffers().occupancy() == 1
+                && s.buffers()
+                    .iter()
+                    .all(|(t, _)| t.preprocess_info().is_none())
+        });
+    }
+
+    #[test]
+    fn unified_promotion_preprocesses_once() {
+        check_lazy_promotion(unified(64, 1, 0).with_preprocess(true), |s| {
+            let pending: Vec<&UnifiedSlot> = s
+                .slots
+                .iter()
+                .flatten()
+                .filter(|e| e.region.is_some())
+                .collect();
+            pending.len() == 1 && pending[0].trace.preprocess_info().is_none()
+        });
+    }
+
+    #[test]
+    fn demand_fills_preprocess_on_both_stores() {
+        check_demand_fill(SplitStore::new(64, 32).with_preprocess(true));
+        check_demand_fill(unified(64, 1, 0).with_preprocess(true));
+    }
+
+    #[test]
+    fn stores_without_preprocessing_attach_nothing() {
+        let stores: [Box<dyn TraceStore>; 2] = [
+            Box::new(SplitStore::new(64, 32)),
+            Box::new(unified(64, 1, 0)),
+        ];
+        for mut s in stores {
+            let (pre, demand) = (mk_alu_trace(0), mk_alu_trace(64));
+            let key = pre.key();
+            assert!(s.fill_precon(pre, 1));
+            assert!(s.fill_demand(demand).is_none());
+            let f = s.fetch(key);
+            assert!(f.from_precon && f.preprocess.is_none());
         }
     }
 

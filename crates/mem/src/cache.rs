@@ -118,16 +118,24 @@ impl SetAssocCache {
 
     /// Looks up `key`, updating LRU state on a hit.
     pub fn access(&mut self, key: u64) -> bool {
+        self.access_slot(key).is_some()
+    }
+
+    /// [`SetAssocCache::access`] that reports the slot (in
+    /// `0..entries`) a hit was found in, so an embedding structure can
+    /// keep per-line state in a parallel array.
+    pub fn access_slot(&mut self, key: u64) -> Option<usize> {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
-        for e in &mut self.entries[range] {
+        let start = range.start;
+        for (i, e) in self.entries[range].iter_mut().enumerate() {
             if e.valid && e.key == key {
                 e.stamp = clock;
-                return true;
+                return Some(start + i);
             }
         }
-        false
+        None
     }
 
     /// Looks up `key` without touching LRU state.
@@ -141,39 +149,40 @@ impl SetAssocCache {
     /// Returns the evicted key, if any. Filling an already-present
     /// key refreshes its LRU stamp and evicts nothing.
     pub fn fill(&mut self, key: u64) -> Option<u64> {
+        self.fill_slot(key).1
+    }
+
+    /// [`SetAssocCache::fill`] that also reports the slot (in
+    /// `0..entries`) `key` now occupies.
+    pub fn fill_slot(&mut self, key: u64) -> (usize, Option<u64>) {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
+        let set = &mut self.entries[range.clone()];
         // Already present → refresh.
-        for e in &mut self.entries[range.clone()] {
-            if e.valid && e.key == key {
-                e.stamp = clock;
-                return None;
-            }
+        if let Some(i) = set.iter().position(|e| e.valid && e.key == key) {
+            set[i].stamp = clock;
+            return (range.start + i, None);
         }
-        // Free way?
-        for e in &mut self.entries[range.clone()] {
-            if !e.valid {
-                *e = Entry {
-                    key,
-                    stamp: clock,
-                    valid: true,
-                };
-                return None;
-            }
-        }
-        // Evict LRU.
-        let victim = self.entries[range]
-            .iter_mut()
-            .min_by_key(|e| e.stamp)
-            .expect("ways > 0");
-        let evicted = victim.key;
-        *victim = Entry {
+        let fresh = Entry {
             key,
             stamp: clock,
             valid: true,
         };
-        Some(evicted)
+        // Free way?
+        if let Some(i) = set.iter().position(|e| !e.valid) {
+            set[i] = fresh;
+            return (range.start + i, None);
+        }
+        // Evict LRU (the first way with the oldest stamp).
+        let (i, _) = set
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.stamp)
+            .expect("ways > 0");
+        let evicted = set[i].key;
+        set[i] = fresh;
+        (range.start + i, Some(evicted))
     }
 
     /// Removes `key` if present; reports whether it was.

@@ -24,7 +24,9 @@ pub struct DataCacheStats {
 #[derive(Debug, Clone)]
 pub struct DataCache {
     tags: SetAssocCache,
-    dirty: std::collections::BTreeSet<u64>,
+    /// Per tag-array slot: the line held there was written since it
+    /// was filled.
+    dirty: Vec<bool>,
     hit_latency: u32,
     l2_latency: u32,
     stats: DataCacheStats,
@@ -42,9 +44,10 @@ impl DataCache {
     ///
     /// Panics on invalid geometry (see [`CacheGeometry`]).
     pub fn with_params(size_bytes: u32, ways: u32, hit_latency: u32, l2_latency: u32) -> Self {
+        let geometry = CacheGeometry::with_entries(size_bytes / 64, ways);
         DataCache {
-            tags: SetAssocCache::new(CacheGeometry::with_entries(size_bytes / 64, ways)),
-            dirty: std::collections::BTreeSet::new(),
+            tags: SetAssocCache::new(geometry),
+            dirty: vec![false; geometry.entries() as usize],
             hit_latency,
             l2_latency,
             stats: DataCacheStats::default(),
@@ -69,17 +72,20 @@ impl DataCache {
 
     fn access(&mut self, byte_addr: u64, is_store: bool) -> u32 {
         let line = Self::line(byte_addr);
-        let hit = self.tags.access(line);
-        if !hit {
-            self.stats.misses += 1;
-            if let Some(evicted) = self.tags.fill(line) {
-                if self.dirty.remove(&evicted) {
+        let (slot, hit) = match self.tags.access_slot(line) {
+            Some(slot) => (slot, true),
+            None => {
+                self.stats.misses += 1;
+                let (slot, evicted) = self.tags.fill_slot(line);
+                if evicted.is_some() && self.dirty[slot] {
                     self.stats.writebacks += 1;
                 }
+                self.dirty[slot] = false;
+                (slot, false)
             }
-        }
+        };
         if is_store {
-            self.dirty.insert(line);
+            self.dirty[slot] = true;
         }
         if hit {
             self.hit_latency

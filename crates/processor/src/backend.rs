@@ -14,9 +14,12 @@
 //! * memory ports — at most 4 data-cache accesses per cycle overall
 //!   and 2 per PE (the paper's four-ported L1D);
 //! * data-cache latency — 2-cycle hits, +10-cycle perfect L2.
+//!
+//! Every per-trace table is an inline [`PerInstr`] array (a trace
+//! holds at most 16 instructions), so a dispatch allocates nothing.
 
 use crate::stream::DynTrace;
-use tpc_core::preprocess::{latency::op_latency, trace_deps};
+use tpc_core::preprocess::{latency::op_latency, trace_deps, PerInstr};
 use tpc_isa::OpClass;
 use tpc_mem::DataCache;
 
@@ -56,15 +59,15 @@ pub struct TraceTiming {
     pub complete: u64,
     /// Execution-finish cycle of each conditional branch, in trace
     /// order.
-    pub branch_resolves: Vec<u64>,
+    pub branch_resolves: PerInstr<u64>,
     /// The latest branch resolution (equals `complete` for branchless
     /// traces — the point at which "this trace's path is confirmed").
     pub last_resolve: u64,
     /// Cycle each instruction began executing (trace order) — kept
     /// for timing validation and pipeline visualization.
-    pub exec_start: Vec<u64>,
+    pub exec_start: PerInstr<u64>,
     /// Cycle each instruction finished executing (trace order).
-    pub exec_done: Vec<u64>,
+    pub exec_done: PerInstr<u64>,
 }
 
 /// Ring-buffer counter of per-cycle resource usage.
@@ -194,36 +197,29 @@ impl Backend {
         };
 
         let raw_deps;
-        let deps: &[Vec<u8>] = match info {
+        let deps = match info {
             Some(i) => &i.deps,
             None => {
                 raw_deps = trace_deps(&dt.trace);
                 &raw_deps
             }
         };
-        let order: Vec<u8> = match info {
-            Some(i) => i.schedule.clone(),
-            None => (0..n as u8).collect(),
+        let order: PerInstr<u8> = match info {
+            Some(i) => i.schedule,
+            None => (0..n as u8).collect(), // n <= MAX_TRACE_LEN
         };
         let folded = |i: usize| info.map(|inf| inf.const_folded[i]).unwrap_or(false);
 
         // done[i]: last execution cycle of instruction i.
-        let mut done = vec![0u64; n];
-        let mut started = vec![0u64; n];
-        let mut last_writer: [Option<usize>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-        // Pre-compute each instruction's intra-trace writer map in
-        // program order (identifies which sources are external).
-        let mut external_srcs: Vec<Vec<tpc_isa::Reg>> = Vec::with_capacity(n);
-        for (i, ti) in instrs.iter().enumerate() {
-            let ext = ti
-                .op
-                .sources()
-                .iter()
-                .filter(|s| last_writer[s.index()].is_none())
-                .collect();
-            external_srcs.push(ext);
+        let mut done = PerInstr::filled(0u64, n);
+        let mut started = PerInstr::filled(0u64, n);
+        // The first writer of each register in program order: a
+        // source of instruction i is external (produced by an earlier
+        // trace) when no instruction before i writes it.
+        let mut first_writer = [usize::MAX; tpc_isa::NUM_REGS];
+        for (i, ti) in instrs.iter().enumerate().rev() {
             if let Some(rd) = ti.op.dest() {
-                last_writer[rd.index()] = Some(i);
+                first_writer[rd.index()] = i;
             }
         }
 
@@ -238,7 +234,7 @@ impl Backend {
                     // consumer may execute the cycle after it is done.
                     ready = ready.max(done[j as usize] + 1);
                 }
-                for src in &external_srcs[i] {
+                for src in op.sources().iter().filter(|s| first_writer[s.index()] >= i) {
                     let (avail, producer_pe) = self.reg_ready[src.index()];
                     let penalty = if producer_pe == pe {
                         0
@@ -300,7 +296,7 @@ impl Backend {
             }
         }
 
-        let branch_resolves: Vec<u64> = instrs
+        let branch_resolves: PerInstr<u64> = instrs
             .iter()
             .enumerate()
             .filter(|(_, ti)| ti.op.class() == OpClass::Branch)

@@ -3,10 +3,11 @@
 use crate::backend::{Backend, BackendConfig, TraceTiming};
 use crate::stream::{DynTrace, TraceStream};
 use std::collections::VecDeque;
+use tpc_core::preprocess::PerInstr;
 use tpc_core::storage::{SplitStore, StoreCounters, TraceStore, UnifiedConfig, UnifiedStore};
 use tpc_core::{
-    preprocess, EngineConfig, EngineFault, EngineStats, FaultKind, FaultPlan, FaultState,
-    FaultStats, PreconEngine,
+    EngineConfig, EngineFault, EngineStats, FaultKind, FaultPlan, FaultState, FaultStats,
+    PreconEngine,
 };
 use tpc_exec::{Executor, Frontend};
 use tpc_isa::{Addr, OpClass, Program};
@@ -42,7 +43,8 @@ pub struct SimConfig {
     pub storage: StorageKind,
     /// Preconstruction engine configuration (including buffer size).
     pub engine: EngineConfig,
-    /// Preprocess traces at fill time (extended pipeline model).
+    /// Preprocess traces as they enter the trace cache — demand fills
+    /// and preconstruction promotions (extended pipeline model).
     pub preprocess: bool,
     /// Instruction cache configuration.
     pub icache: InstrCacheConfig,
@@ -116,11 +118,11 @@ impl SimConfig {
         }
     }
 
-    /// Enables trace preprocessing (both on the fill path and in the
-    /// preconstruction engine).
+    /// Enables trace preprocessing: the trace store preprocesses
+    /// every trace that enters the trace cache, whether filled by the
+    /// slow path or promoted from the preconstruction side.
     pub fn with_preprocess(mut self) -> Self {
         self.preprocess = true;
-        self.engine.preprocess = true;
         self
     }
 
@@ -458,8 +460,11 @@ impl FrontendBreakdown {
 #[derive(Debug)]
 struct SlowBuild {
     dt: DynTrace,
-    /// Remaining (line base, instructions in this trace on the line).
-    lines: VecDeque<(Addr, u32)>,
+    /// (line base, instructions in this trace on the line), in fetch
+    /// order.
+    lines: PerInstr<(Addr, u32)>,
+    /// Index of the next line to fetch.
+    next_line: usize,
     /// Cycle the current line fetch completes.
     busy_until: u64,
     /// Extra stall cycles charged at the end (prediction repairs).
@@ -554,9 +559,9 @@ pub struct RetiredInstr {
 struct Inflight {
     timing: TraceTiming,
     /// (branch pc, outcome) pairs for bimodal training at retire.
-    branches: Vec<(Addr, bool)>,
+    branches: PerInstr<(Addr, bool)>,
     /// Instruction addresses, for the engine's retire observation.
-    pcs: Vec<Addr>,
+    pcs: PerInstr<Addr>,
     /// Per-instruction retirement records (empty unless
     /// [`SimConfig::record_retirement`]).
     recorded: Vec<RetiredInstr>,
@@ -619,22 +624,28 @@ impl<F: Frontend> Simulator<F> {
     /// [`Frontend`].
     pub fn with_frontend(frontend: F, config: SimConfig) -> Self {
         let store: Box<dyn TraceStore> = match config.storage {
-            StorageKind::Split => Box::new(SplitStore::new(
-                config.trace_cache_entries,
-                if config.engine.enabled {
-                    config.engine.buffer_entries
-                } else {
-                    0
-                },
-            )),
+            StorageKind::Split => Box::new(
+                SplitStore::new(
+                    config.trace_cache_entries,
+                    if config.engine.enabled {
+                        config.engine.buffer_entries
+                    } else {
+                        0
+                    },
+                )
+                .with_preprocess(config.preprocess),
+            ),
             StorageKind::Unified {
                 initial_pb_ways,
                 epoch_fetches,
-            } => Box::new(UnifiedStore::new(UnifiedConfig {
-                entries: config.trace_cache_entries + config.engine.buffer_entries,
-                initial_pb_ways,
-                epoch_fetches,
-            })),
+            } => Box::new(
+                UnifiedStore::new(UnifiedConfig {
+                    entries: config.trace_cache_entries + config.engine.buffer_entries,
+                    initial_pb_ways,
+                    epoch_fetches,
+                })
+                .with_preprocess(config.preprocess),
+            ),
         };
         Simulator {
             stream: TraceStream::over(frontend),
@@ -1006,12 +1017,12 @@ impl<F: Frontend> Simulator<F> {
     /// trace's instructions live on and the prediction-repair stalls
     /// the build will incur.
     fn begin_slow_build(&mut self, dt: DynTrace) {
-        let mut lines: VecDeque<(Addr, u32)> = VecDeque::new();
+        let mut lines: PerInstr<(Addr, u32)> = PerInstr::new();
         for ti in dt.trace.instrs() {
             let base = InstrCache::line_base(ti.pc);
-            match lines.back_mut() {
+            match lines.last_mut() {
                 Some((b, n)) if *b == base => *n += 1,
-                _ => lines.push_back((base, 1)),
+                _ => lines.push((base, 1)),
             }
         }
         // Prediction repairs while following the path: every bimodal
@@ -1048,6 +1059,7 @@ impl<F: Frontend> Simulator<F> {
         self.slow_build = Some(SlowBuild {
             dt,
             lines,
+            next_line: 0,
             busy_until: self.cycle,
             tail_stall,
         });
@@ -1059,7 +1071,8 @@ impl<F: Frontend> Simulator<F> {
         if self.cycle < build.busy_until {
             return;
         }
-        if let Some((base, count)) = build.lines.pop_front() {
+        if let Some(&(base, count)) = build.lines.get(build.next_line) {
+            build.next_line += 1;
             let res = self.icache.fetch(base, AccessKind::Demand);
             self.stats.slow_path_lines += 1;
             if !res.hit {
@@ -1073,15 +1086,13 @@ impl<F: Frontend> Simulator<F> {
             build.tail_stall = 0;
             return;
         }
-        // Build complete: preprocess (extended pipeline), fill the
-        // trace cache, dispatch.
-        let mut build = self.slow_build.take().expect("present");
-        if self.config.preprocess {
-            let info = preprocess::preprocess(&build.dt.trace);
-            build.dt.trace.set_preprocess(info);
+        // Build complete: fill the trace cache (which preprocesses the
+        // trace in the extended pipeline) and dispatch it.
+        let mut dt = self.slow_build.take().expect("present").dt;
+        if let Some(info) = self.store.fill_demand(dt.trace.clone()) {
+            dt.trace.set_preprocess_arc(info);
         }
-        self.store.fill_demand(build.dt.trace.clone());
-        self.dispatch(build.dt);
+        self.dispatch(dt);
     }
 
     /// Dispatches a trace to the backend and the preconstruction
@@ -1112,7 +1123,7 @@ impl<F: Frontend> Simulator<F> {
         });
         self.prev_resolve = timing.last_resolve;
         let mut outcome_iter = dt.branch_outcomes.iter();
-        let branches: Vec<(Addr, bool)> = dt
+        let branches: PerInstr<(Addr, bool)> = dt
             .trace
             .instrs()
             .iter()
