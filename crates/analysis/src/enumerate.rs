@@ -167,7 +167,7 @@ impl StaticEnumeration {
             if op.class() == OpClass::Branch {
                 let target = op.static_target().expect("branches have static targets");
                 for (taken, next_pc) in [(false, pc.next()), (true, target)] {
-                    let mut b = builder.clone();
+                    let mut b = builder;
                     steps += 1;
                     match b.push(pc, op, Resolution::Branch { taken, next_pc }) {
                         PushResult::Continue(next) => stack.push((b, call_stack.clone(), next)),
@@ -451,7 +451,7 @@ pub fn enumerate_biased(program: &Program, max_keys: usize) -> BiasedEnumeration
                 OpClass::Call => {
                     let mut cs = call_stack.clone();
                     cs.push(pc.next());
-                    let mut b = builder.clone();
+                    let mut b = builder;
                     match b.push(pc, op, Resolution::None) {
                         PushResult::Continue(next) => stack.push((b, cs, next)),
                         PushResult::Complete(t) => {
@@ -466,7 +466,7 @@ pub fn enumerate_biased(program: &Program, max_keys: usize) -> BiasedEnumeration
                         Some(ra) => Resolution::Target(ra),
                         None => Resolution::None,
                     };
-                    let mut b = builder.clone();
+                    let mut b = builder;
                     match b.push(pc, op, r) {
                         PushResult::Continue(next) => stack.push((b, cs, next)),
                         PushResult::Complete(t) => {
@@ -478,7 +478,7 @@ pub fn enumerate_biased(program: &Program, max_keys: usize) -> BiasedEnumeration
                 _ => vec![Resolution::None],
             };
             for r in arms {
-                let mut b = builder.clone();
+                let mut b = builder;
                 match b.push(pc, op, r) {
                     PushResult::Continue(next) => stack.push((b, call_stack.clone(), next)),
                     PushResult::Complete(t) => {

@@ -11,19 +11,26 @@
 //! at returns whose call was not observed during this walk, where the
 //! target is equally unknown).
 
+use crate::preprocess::PerInstr;
 use crate::trace::{PushResult, Resolution, Trace, TraceBuilder};
 use tpc_isa::{Addr, OpClass, Program};
 use tpc_mem::PrefetchCache;
 use tpc_predict::{Bias, Bimodal};
 
+/// Return addresses of the calls followed on the current path. The
+/// path is one trace long, so it holds at most one call per trace
+/// instruction.
+type CallStack = PerInstr<Addr>;
+
 /// One saved decision point for a weakly-biased branch: the builder
 /// and call-stack state just *before* the branch was consumed, plus
 /// the branch's address. Popping it re-runs the branch down the
-/// taken path.
-#[derive(Debug, Clone)]
+/// taken path. Both states are inline arrays, so saving a fork is a
+/// plain copy.
+#[derive(Debug, Clone, Copy)]
 struct Decision {
     builder: TraceBuilder,
-    call_stack: Vec<Addr>,
+    call_stack: CallStack,
     branch_pc: Addr,
 }
 
@@ -39,7 +46,7 @@ pub enum Step {
     /// A trace completed. The constructor may still have alternative
     /// paths queued on its internal stack — call
     /// [`TraceConstructor::backtrack`] before assigning new work.
-    TraceDone(Box<Trace>),
+    TraceDone(Trace),
     /// The current path ended without completing further traces and
     /// no alternatives remain: the constructor is idle.
     Idle,
@@ -50,7 +57,7 @@ pub enum Step {
 pub struct TraceConstructor {
     builder: Option<TraceBuilder>,
     pc: Addr,
-    call_stack: Vec<Addr>,
+    call_stack: CallStack,
     decisions: Vec<Decision>,
     decision_depth: usize,
 }
@@ -62,8 +69,8 @@ impl TraceConstructor {
         TraceConstructor {
             builder: None,
             pc: Addr::ZERO,
-            call_stack: Vec::new(),
-            decisions: Vec::new(),
+            call_stack: CallStack::new(),
+            decisions: Vec::with_capacity(decision_depth),
             decision_depth,
         }
     }
@@ -176,8 +183,8 @@ impl TraceConstructor {
                         // we simply do not explore that alternative).
                         if self.decisions.len() < self.decision_depth {
                             self.decisions.push(Decision {
-                                builder: builder.clone(),
-                                call_stack: self.call_stack.clone(),
+                                builder: *builder,
+                                call_stack: self.call_stack,
                                 branch_pc: pc,
                             });
                         }
@@ -214,7 +221,7 @@ impl TraceConstructor {
             }
             PushResult::Complete(trace) => {
                 self.builder = None;
-                Step::TraceDone(Box::new(trace))
+                Step::TraceDone(trace)
             }
         }
     }
@@ -256,7 +263,7 @@ mod tests {
             match ctor.step(program, prefetch, bimodal) {
                 Step::Advanced => {}
                 Step::TraceDone(t) => {
-                    traces.push(*t);
+                    traces.push(t);
                     if !ctor.backtrack(program) {
                         break;
                     }

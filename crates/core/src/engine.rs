@@ -489,7 +489,7 @@ impl PreconEngine {
                     }
                     Step::TraceDone(trace) => {
                         budget = budget.saturating_sub(1);
-                        self.file_trace(c, slot, *trace, program, store);
+                        self.file_trace(c, slot, trace, program, store);
                     }
                     Step::Idle => {
                         self.assignment[c] = None;

@@ -62,6 +62,20 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
+    /// Removes and returns the last element.
+    #[inline]
+    pub fn pop(&mut self) -> Option<T> {
+        let len = self.len.checked_sub(1)?;
+        self.len = len;
+        Some(self.items[len as usize])
+    }
+
+    /// Removes every element.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
     /// Keeps only the elements for which `keep` returns true, in
     /// order.
     #[inline]
@@ -176,6 +190,16 @@ mod tests {
         let b: InlineVec<u8, 4> = [1, 2].into_iter().collect();
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), "[1, 2]");
+    }
+
+    #[test]
+    fn pop_and_clear() {
+        let mut v: InlineVec<u8, 4> = [1, 2].into_iter().collect();
+        assert_eq!(v.pop(), Some(2));
+        assert_eq!(&v[..], [1]);
+        v.clear();
+        assert!(v.is_empty());
+        assert_eq!(v.pop(), None);
     }
 
     #[test]

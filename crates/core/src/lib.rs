@@ -22,7 +22,8 @@
 //! * [`mod@preprocess`] — the extended-pipeline trace preprocessing
 //!   (instruction scheduling, constant propagation, combined
 //!   shift-add ALU) of Section 6, applied in [`storage`] when a trace
-//!   enters the trace cache.
+//!   enters the trace cache; the stores memoize each trace's dispatch
+//!   annotation per trace key.
 //! * [`inline_vec`] — the fixed-capacity per-trace tables that keep
 //!   preprocessing and dispatch free of heap allocation.
 //! * [`faults`] — deterministic fault injection over every one of

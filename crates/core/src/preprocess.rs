@@ -31,8 +31,11 @@
 //! demand fill from the slow path, or when a preconstructed trace is
 //! promoted out of the preconstruction side on its first use (see
 //! [`crate::storage`]). Preconstructed traces that are never used are
-//! never preprocessed. The info is a pure function of the trace and
-//! costs no cycles, so where it is computed cannot change timing.
+//! never preprocessed, and a store re-admitting a trace key reuses the
+//! info it computed before. The info is a pure function of the trace
+//! and costs no cycles, so where it is computed cannot change timing.
+//! With preprocessing off, stores attach [`PreprocessInfo::identity`]
+//! instead, so the backend reads one kind of annotation either way.
 //!
 //! Every table here has one entry per trace instruction and lives in
 //! an [`InlineVec`], so [`preprocess`] and [`trace_deps`] allocate
@@ -94,7 +97,15 @@ pub struct PreprocessInfo {
     /// Issue priority: instruction indices, highest priority first
     /// (critical-path list schedule).
     pub schedule: PerInstr<u8>,
+    /// Per instruction, the registers it reads that no earlier
+    /// instruction in the trace writes (bit `r` = register `r`): the
+    /// operands it takes from earlier traces. Preprocessing leaves
+    /// them unchanged.
+    pub external_srcs: PerInstr<u32>,
 }
+
+// `external_srcs` keeps one bit per register.
+const _: () = assert!(tpc_isa::NUM_REGS <= 32);
 
 impl PreprocessInfo {
     /// Number of instructions the info covers.
@@ -116,6 +127,36 @@ impl PreprocessInfo {
     pub fn collapsed_count(&self) -> usize {
         self.collapsed.iter().filter(|c| c.is_some()).count()
     }
+
+    /// The identity annotation: raw dependences ([`trace_deps`]),
+    /// program-order issue, nothing folded or collapsed. A trace
+    /// dispatched with it times exactly as one that never went
+    /// through preprocessing.
+    pub fn identity(trace: &Trace) -> Self {
+        let n = trace.len();
+        PreprocessInfo {
+            deps: trace_deps(trace),
+            const_folded: PerInstr::filled(false, n),
+            collapsed: PerInstr::filled(None, n),
+            schedule: (0..n as u8).collect(), // n <= MAX_TRACE_LEN
+            external_srcs: external_sources(trace),
+        }
+    }
+}
+
+/// Per instruction, the source registers no earlier instruction in
+/// the trace writes (see [`PreprocessInfo::external_srcs`]).
+fn external_sources(trace: &Trace) -> PerInstr<u32> {
+    let mut written = 0u32;
+    let mut external = PerInstr::new();
+    for ti in trace.instrs() {
+        let reads = ti.op.sources().iter().fold(0, |m, r| m | 1 << r.index());
+        external.push(reads & !written);
+        if let Some(rd) = ti.op.dest() {
+            written |= 1 << rd.index();
+        }
+    }
+    external
 }
 
 /// Raw intra-trace register dependences, with no preprocessing:
@@ -276,6 +317,7 @@ pub fn preprocess(trace: &Trace) -> PreprocessInfo {
         const_folded,
         collapsed,
         schedule,
+        external_srcs: external_sources(trace),
     }
 }
 
@@ -324,6 +366,30 @@ mod tests {
         assert!(deps[0].is_empty());
         assert_eq!(deps[1][..], [0]);
         assert_eq!(deps[2][..], [1]);
+    }
+
+    #[test]
+    fn external_sources_are_reads_before_any_in_trace_write() {
+        let t = mk_trace(&[
+            Op::Add {
+                rd: r(1),
+                rs1: r(1),
+                rs2: r(3),
+            }, // 0: r1, r3 from earlier traces
+            Op::Add {
+                rd: r(2),
+                rs1: r(1),
+                rs2: r(3),
+            }, // 1: r1 written by 0, r3 still external
+        ]);
+        let bit = |reg: Reg| 1u32 << reg.index();
+        let expected = [bit(r(1)) | bit(r(3)), bit(r(3)), bit(tpc_isa::LINK)];
+        assert_eq!(PreprocessInfo::identity(&t).external_srcs[..], expected);
+        assert_eq!(
+            preprocess(&t).external_srcs[..],
+            expected,
+            "unchanged by preprocessing"
+        );
     }
 
     #[test]

@@ -13,13 +13,29 @@
 //! No flush is needed on re-partition because indexing never changes;
 //! only fill placement does.
 //!
-//! Both stores own the extended pipeline's preprocessing step (see
-//! [`mod@crate::preprocess`]) when it is switched on: a trace is
-//! preprocessed exactly when it enters the trace-cache role — a demand
-//! fill, or the promotion of a preconstructed trace on its first use.
-//! Preconstructed traces wait unprocessed, so the ones that are never
+//! Both stores attach each trace's *dispatch annotations* — the
+//! dependence lists, fold/collapse marks and issue order the backend
+//! times it with — exactly when it enters the trace-cache role: a
+//! demand fill, or the promotion of a preconstructed trace on its
+//! first use. With the extended pipeline's preprocessing switched on
+//! (see [`mod@crate::preprocess`]) the annotation is
+//! `preprocess(&trace)`; otherwise it is
+//! [`PreprocessInfo::identity`] (raw dependences, program order).
+//! Preconstructed traces wait unannotated, so the ones that are never
 //! used cost nothing, and later trace-cache hits hand out the stored
-//! annotations by refcount.
+//! annotation by refcount.
+//!
+//! The annotation is a pure function of the trace, and within one
+//! program a [`TraceKey`] fixes the trace's instructions (jumps and
+//! calls have static targets; traces end at returns and indirect
+//! jumps). So each store keeps an *annotation memo* keyed by trace
+//! key: a trace evicted from the trace cache and admitted again gets
+//! its earlier annotation back instead of being re-annotated. The
+//! memo is a fixed power-of-two, direct-mapped array with the full
+//! key as its tag (a collision recomputes and overwrites), allocated
+//! on the store's first admission. It belongs to one store, and a
+//! store serves one program, so no entry is ever read for another
+//! program's trace.
 
 use crate::precon_buffer::PreconBuffers;
 use crate::preprocess::{preprocess, PreprocessInfo};
@@ -37,17 +53,17 @@ pub struct StoreFetch {
     /// Whether it was found on the preconstruction side (and has now
     /// been promoted into the trace-cache side).
     pub from_precon: bool,
-    /// Preprocessing annotations carried by the stored trace (shared
-    /// with it — handing them to the fetched instance is a refcount
-    /// bump).
-    pub preprocess: Option<Arc<PreprocessInfo>>,
+    /// Dispatch annotations of the stored trace (`Some` on every
+    /// hit; shared with it — handing them to the fetched instance is
+    /// a refcount bump).
+    pub annotation: Option<Arc<PreprocessInfo>>,
 }
 
 impl StoreFetch {
     const MISS: StoreFetch = StoreFetch {
         hit: false,
         from_precon: false,
-        preprocess: None,
+        annotation: None,
     };
 }
 
@@ -85,14 +101,14 @@ pub trait TraceStore: std::fmt::Debug {
     fn contains_cached(&self, key: TraceKey) -> bool;
 
     /// Fill from the processor's fill unit (slow-path build). Returns
-    /// the preprocessing annotations the stored trace carries, for the
+    /// the dispatch annotations the stored trace carries, for the
     /// instance the processor dispatches.
-    fn fill_demand(&mut self, trace: Trace) -> Option<Arc<PreprocessInfo>>;
+    fn fill_demand(&mut self, trace: Trace) -> Arc<PreprocessInfo>;
 
     /// Fill from the preconstruction engine. Returns `false` when the
     /// replacement policy rejects the fill — the per-region resource
     /// bound that terminates region exploration. The trace waits
-    /// unprocessed until a fetch promotes it.
+    /// unannotated until a fetch promotes it.
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool;
 
     /// Aggregate counters.
@@ -128,12 +144,61 @@ pub trait TraceStore: std::fmt::Debug {
     }
 }
 
-/// Runs the preprocessing pipeline over a trace entering the
-/// trace-cache role, when the store has it switched on.
-fn admit(trace: &mut Trace, preprocessing: bool) {
-    if preprocessing {
-        let info = preprocess(trace);
-        trace.set_preprocess(info);
+/// Slots in each store's annotation memo. On gcc, go, perl and
+/// vortex it serves 54–79 % of admissions from the memo; sixteen
+/// times the slots serves at most 8 points more.
+const MEMO_SLOTS: usize = 4096;
+
+/// A store's per-trace-key memo of dispatch annotations (see the
+/// module docs): direct-mapped, key-checked, allocated on first use.
+#[derive(Debug)]
+struct AnnotationMemo {
+    /// Annotate with `preprocess` (extended pipeline) rather than
+    /// the identity annotation.
+    preprocessing: bool,
+    /// Power-of-two slot count; `slots` stays empty until the first
+    /// admission.
+    capacity: usize,
+    slots: Vec<Option<(TraceKey, Arc<PreprocessInfo>)>>,
+}
+
+impl AnnotationMemo {
+    fn new(capacity: usize) -> Self {
+        debug_assert!(capacity.is_power_of_two());
+        AnnotationMemo {
+            preprocessing: false,
+            capacity,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Attaches the annotation of a trace entering the trace-cache
+    /// role and returns it: the memoized one when the slot holds this
+    /// key, a freshly computed one (replacing the slot) otherwise.
+    fn admit(&mut self, trace: &mut Trace) -> Arc<PreprocessInfo> {
+        if self.slots.is_empty() {
+            self.slots = vec![None; self.capacity];
+        }
+        let key = trace.key();
+        // The high hash bits: independent of the low bits the trace
+        // cache's set index uses.
+        let bits = self.capacity.trailing_zeros();
+        let index = key.hash64().checked_shr(64 - bits).unwrap_or(0) as usize;
+        let slot = &mut self.slots[index];
+        let info = match slot {
+            Some((k, info)) if *k == key => Arc::clone(info),
+            _ => {
+                let info = Arc::new(if self.preprocessing {
+                    preprocess(trace)
+                } else {
+                    PreprocessInfo::identity(trace)
+                });
+                *slot = Some((key, Arc::clone(&info)));
+                info
+            }
+        };
+        trace.set_annotation(Arc::clone(&info));
+        info
     }
 }
 
@@ -149,7 +214,7 @@ pub struct SplitStore {
     tc: TraceCache,
     pb: PreconBuffers,
     counters: StoreCounters,
-    preprocessing: bool,
+    memo: AnnotationMemo,
 }
 
 impl SplitStore {
@@ -164,14 +229,15 @@ impl SplitStore {
             tc: TraceCache::new(tc_entries),
             pb: PreconBuffers::new(pb_entries),
             counters: StoreCounters::default(),
-            preprocessing: false,
+            memo: AnnotationMemo::new(MEMO_SLOTS),
         }
     }
 
     /// Sets whether traces entering the trace cache (demand fills and
-    /// promotions) are preprocessed; off by default.
+    /// promotions) are annotated by preprocessing rather than with
+    /// the identity annotation; off by default.
     pub fn with_preprocess(mut self, on: bool) -> Self {
-        self.preprocessing = on;
+        self.memo.preprocessing = on;
         self
     }
 
@@ -194,18 +260,17 @@ impl TraceStore for SplitStore {
             return StoreFetch {
                 hit: true,
                 from_precon: false,
-                preprocess: t.preprocess_shared(),
+                annotation: t.annotation().cloned(),
             };
         }
         if let Some(mut t) = self.pb.take(key) {
             self.counters.precon_hits += 1;
-            admit(&mut t, self.preprocessing);
-            let preprocess = t.preprocess_shared();
+            let annotation = self.memo.admit(&mut t);
             self.tc.fill(t);
             return StoreFetch {
                 hit: true,
                 from_precon: true,
-                preprocess,
+                annotation: Some(annotation),
             };
         }
         self.counters.misses += 1;
@@ -216,11 +281,10 @@ impl TraceStore for SplitStore {
         self.tc.contains(key)
     }
 
-    fn fill_demand(&mut self, mut trace: Trace) -> Option<Arc<PreprocessInfo>> {
-        admit(&mut trace, self.preprocessing);
-        let info = trace.preprocess_shared();
+    fn fill_demand(&mut self, mut trace: Trace) -> Arc<PreprocessInfo> {
+        let annotation = self.memo.admit(&mut trace);
         self.tc.fill(trace);
-        info
+        annotation
     }
 
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool {
@@ -341,7 +405,7 @@ pub struct UnifiedStore {
     /// diagnostics.
     adaptations: Vec<(u64, u8)>,
     epoch_index: u64,
-    preprocessing: bool,
+    memo: AnnotationMemo,
 }
 
 const UNIFIED_WAYS: usize = 4;
@@ -375,16 +439,16 @@ impl UnifiedStore {
             epoch_misses: 0,
             adaptations: Vec::new(),
             epoch_index: 0,
-            preprocessing: false,
+            memo: AnnotationMemo::new(MEMO_SLOTS),
             config,
         }
     }
 
     /// Sets whether traces entering the trace-cache role (demand
-    /// fills and in-place promotions) are preprocessed; off by
-    /// default.
+    /// fills and in-place promotions) are annotated by preprocessing
+    /// rather than with the identity annotation; off by default.
     pub fn with_preprocess(mut self, on: bool) -> Self {
-        self.preprocessing = on;
+        self.memo.preprocessing = on;
         self
     }
 
@@ -435,19 +499,20 @@ impl TraceStore for UnifiedStore {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
-        let preprocessing = self.preprocessing;
         let mut result = StoreFetch::MISS;
         for s in self.slots[range].iter_mut().flatten() {
             if s.trace.key() == key {
                 s.stamp = clock;
                 let from_precon = s.region.take().is_some();
-                if from_precon {
-                    admit(&mut s.trace, preprocessing);
-                }
+                let annotation = if from_precon {
+                    Some(self.memo.admit(&mut s.trace))
+                } else {
+                    s.trace.annotation().cloned()
+                };
                 result = StoreFetch {
                     hit: true,
                     from_precon,
-                    preprocess: s.trace.preprocess_shared(),
+                    annotation,
                 };
                 break;
             }
@@ -478,9 +543,8 @@ impl TraceStore for UnifiedStore {
             .any(|s| s.trace.key() == key && s.region.is_none())
     }
 
-    fn fill_demand(&mut self, mut trace: Trace) -> Option<Arc<PreprocessInfo>> {
-        admit(&mut trace, self.preprocessing);
-        let info = trace.preprocess_shared();
+    fn fill_demand(&mut self, mut trace: Trace) -> Arc<PreprocessInfo> {
+        let annotation = self.memo.admit(&mut trace);
         self.clock += 1;
         let clock = self.clock;
         let key = trace.key();
@@ -510,7 +574,7 @@ impl TraceStore for UnifiedStore {
                 });
             }
         }
-        info
+        annotation
     }
 
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool {
@@ -693,29 +757,31 @@ mod tests {
         panic!("ret completes the trace")
     }
 
-    /// A preconstructed trace waits unprocessed; its promotion
+    /// A preconstructed trace waits unannotated; its promotion
     /// attaches `preprocess(&trace)`; a later trace-cache hit hands
     /// out the same allocation, so nothing is recomputed.
-    fn check_lazy_promotion<S: TraceStore>(mut store: S, pending_unprocessed: impl Fn(&S) -> bool) {
+    fn check_lazy_promotion<S: TraceStore>(mut store: S, pending_unannotated: impl Fn(&S) -> bool) {
         let t = mk_alu_trace(0);
         let key = t.key();
         let expected = preprocess(&t);
         assert!(expected.folded_count() + expected.collapsed_count() > 0);
         assert!(store.fill_precon(t, 1));
         assert!(
-            pending_unprocessed(&store),
-            "a precon fill carries no preprocessing info"
+            pending_unannotated(&store),
+            "a precon fill carries no annotation"
         );
         let promoted = store.fetch(key);
         assert!(promoted.hit && promoted.from_precon);
-        let info = promoted.preprocess.expect("promotion preprocesses");
+        let info = promoted.annotation.expect("promotion annotates");
         assert_eq!(*info, expected);
         let hit = store.fetch(key);
         assert!(hit.hit && !hit.from_precon);
-        let again = hit.preprocess.expect("the stored trace keeps its info");
+        let again = hit
+            .annotation
+            .expect("the stored trace keeps its annotation");
         assert!(
             Arc::ptr_eq(&info, &again),
-            "a trace-cache hit reuses the info attached at promotion"
+            "a trace-cache hit reuses the annotation attached at promotion"
         );
     }
 
@@ -725,9 +791,9 @@ mod tests {
         let t = mk_alu_trace(64);
         let key = t.key();
         let expected = preprocess(&t);
-        let filled = store.fill_demand(t).expect("demand fill preprocesses");
+        let filled = store.fill_demand(t);
         assert_eq!(*filled, expected);
-        let hit = store.fetch(key).preprocess.expect("stored info");
+        let hit = store.fetch(key).annotation.expect("stored annotation");
         assert!(Arc::ptr_eq(&filled, &hit));
     }
 
@@ -735,9 +801,7 @@ mod tests {
     fn split_promotion_preprocesses_once() {
         check_lazy_promotion(SplitStore::new(64, 32).with_preprocess(true), |s| {
             s.buffers().occupancy() == 1
-                && s.buffers()
-                    .iter()
-                    .all(|(t, _)| t.preprocess_info().is_none())
+                && s.buffers().iter().all(|(t, _)| t.annotation().is_none())
         });
     }
 
@@ -750,7 +814,7 @@ mod tests {
                 .flatten()
                 .filter(|e| e.region.is_some())
                 .collect();
-            pending.len() == 1 && pending[0].trace.preprocess_info().is_none()
+            pending.len() == 1 && pending[0].trace.annotation().is_none()
         });
     }
 
@@ -761,19 +825,89 @@ mod tests {
     }
 
     #[test]
-    fn stores_without_preprocessing_attach_nothing() {
+    fn plain_stores_attach_the_identity_annotation() {
         let stores: [Box<dyn TraceStore>; 2] = [
             Box::new(SplitStore::new(64, 32)),
             Box::new(unified(64, 1, 0)),
         ];
         for mut s in stores {
             let (pre, demand) = (mk_alu_trace(0), mk_alu_trace(64));
+            let identity = (
+                PreprocessInfo::identity(&pre),
+                PreprocessInfo::identity(&demand),
+            );
+            assert_ne!(identity.1, preprocess(&demand), "the trace is foldable");
             let key = pre.key();
             assert!(s.fill_precon(pre, 1));
-            assert!(s.fill_demand(demand).is_none());
+            assert_eq!(*s.fill_demand(demand), identity.1);
             let f = s.fetch(key);
-            assert!(f.from_precon && f.preprocess.is_none());
+            assert!(f.from_precon);
+            assert_eq!(*f.annotation.expect("promotion annotates"), identity.0);
         }
+    }
+
+    /// Traces at `starts`, all mapping to the single set of a 2-entry
+    /// trace cache / 4-entry unified store, so filling more than the
+    /// associativity evicts the oldest.
+    fn alu_traces(starts: &[u32]) -> Vec<Trace> {
+        starts.iter().map(|&a| mk_alu_trace(a)).collect()
+    }
+
+    /// A key evicted from the trace-cache role and admitted again —
+    /// by a demand fill, or by promoting a fresh preconstructed copy —
+    /// gets the memoized annotation back, not a recomputed one.
+    #[test]
+    fn readmitted_keys_reuse_the_memoized_annotation() {
+        let check = |mut s: Box<dyn TraceStore>, ways: usize| {
+            let traces = alu_traces(&[0, 64, 128, 192, 256]);
+            let first = s.fill_demand(traces[0].clone());
+            for t in &traces[1..=ways] {
+                s.fill_demand(t.clone());
+            }
+            assert!(!s.fetch(traces[0].key()).hit, "evicted by {ways} fills");
+            let again = s.fill_demand(traces[0].clone());
+            assert!(
+                Arc::ptr_eq(&first, &again),
+                "demand re-fill reuses the memo"
+            );
+            for t in &traces[1..=ways] {
+                s.fill_demand(t.clone());
+            }
+            assert!(!s.fetch(traces[0].key()).hit);
+            if s.precon_capacity() > 0 {
+                assert!(s.fill_precon(traces[0].clone(), 1));
+                let promoted = s.fetch(traces[0].key());
+                assert!(promoted.from_precon);
+                let info = promoted.annotation.expect("promotion annotates");
+                assert!(Arc::ptr_eq(&first, &info), "promotion reuses the memo");
+            }
+        };
+        check(Box::new(SplitStore::new(2, 2).with_preprocess(true)), 2);
+        check(Box::new(SplitStore::new(2, 0)), 2);
+        check(Box::new(unified(4, 1, 0).with_preprocess(true)), 3);
+        check(Box::new(unified(4, 0, 0)), 4);
+    }
+
+    /// Two keys sharing the one slot of a one-slot memo: each
+    /// admission recomputes its own annotation instead of handing
+    /// out the other key's.
+    #[test]
+    fn memo_collisions_recompute() {
+        let mut s = SplitStore::new(64, 0);
+        s.memo = AnnotationMemo::new(1);
+        s.memo.preprocessing = true;
+        let (a, b) = (mk_alu_trace(0), mk_trace(64));
+        let a_info = s.fill_demand(a.clone());
+        let b_info = s.fill_demand(b.clone());
+        assert_eq!(*a_info, preprocess(&a));
+        assert_eq!(*b_info, preprocess(&b));
+        assert_ne!(*a_info, *b_info, "the two traces annotate differently");
+        let a_again = s.fill_demand(a.clone());
+        assert_eq!(*a_again, preprocess(&a));
+        assert!(
+            !Arc::ptr_eq(&a_info, &a_again),
+            "b displaced a from the shared slot, so a is recomputed"
+        );
     }
 
     // ---- SplitStore -----------------------------------------------

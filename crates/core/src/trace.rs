@@ -1,5 +1,6 @@
 //! Traces and the shared trace-selection rules.
 
+use crate::preprocess::{PerInstr, PreprocessInfo};
 use std::sync::Arc;
 use tpc_isa::{Addr, Op, OpClass};
 use tpc_predict::{TraceEnd, TraceKey};
@@ -18,6 +19,16 @@ pub struct TraceInstr {
     pub pc: Addr,
     /// The instruction.
     pub op: Op,
+}
+
+/// A `nop` at address zero: the filler of unused inline slots.
+impl Default for TraceInstr {
+    fn default() -> Self {
+        TraceInstr {
+            pc: Addr::ZERO,
+            op: Op::Nop,
+        }
+    }
 }
 
 /// Why a [`TraceBuilder`] terminated its trace.
@@ -43,7 +54,7 @@ pub enum TraceStop {
 /// it encodes — the next trace's start point — when that address is
 /// statically known.
 ///
-/// The instruction snapshot and preprocessing annotations live behind
+/// The instruction snapshot and dispatch annotations live behind
 /// [`Arc`]s: cloning a trace — a trace-cache fill, a
 /// preconstruction-buffer promotion, a dispatch-stream handoff — is a
 /// refcount bump, mirroring hardware where these movements are wire
@@ -55,7 +66,7 @@ pub struct Trace {
     end: TraceEnd,
     stop: TraceStop,
     successor: Option<Addr>,
-    preprocess: Option<Arc<crate::preprocess::PreprocessInfo>>,
+    annotation: Option<Arc<PreprocessInfo>>,
 }
 
 impl Trace {
@@ -108,29 +119,19 @@ impl Trace {
         (i < self.key.branch_count).then(|| (self.key.outcomes >> i) & 1 == 1)
     }
 
-    /// Preprocessing annotations, when the trace went through the
-    /// preprocessing pipeline (see [`mod@crate::preprocess`]).
-    pub fn preprocess_info(&self) -> Option<&crate::preprocess::PreprocessInfo> {
-        self.preprocess.as_deref()
+    /// The dispatch annotations the backend times the trace with:
+    /// attached by the trace store when the trace enters the trace
+    /// cache (see [`mod@crate::storage`]) — `preprocess(&trace)` in
+    /// the extended pipeline, [`PreprocessInfo::identity`] otherwise.
+    /// `None` for a trace that has not been through a store.
+    pub fn annotation(&self) -> Option<&Arc<PreprocessInfo>> {
+        self.annotation.as_ref()
     }
 
-    /// Shared handle to the preprocessing annotations, for callers
-    /// that forward them to another trace instance without copying.
-    pub fn preprocess_shared(&self) -> Option<Arc<crate::preprocess::PreprocessInfo>> {
-        self.preprocess.clone()
-    }
-
-    /// Attaches preprocessing annotations (idempotent; later calls
-    /// replace earlier ones).
-    pub fn set_preprocess(&mut self, info: crate::preprocess::PreprocessInfo) {
-        self.preprocess = Some(Arc::new(info));
-    }
-
-    /// Attaches already-shared preprocessing annotations (a refcount
-    /// bump, used when a stored trace's annotations are carried over
-    /// to the fetched instance).
-    pub fn set_preprocess_arc(&mut self, info: Arc<crate::preprocess::PreprocessInfo>) {
-        self.preprocess = Some(info);
+    /// Attaches shared dispatch annotations (a refcount bump; later
+    /// calls replace earlier ones).
+    pub fn set_annotation(&mut self, info: Arc<PreprocessInfo>) {
+        self.annotation = Some(info);
     }
 
     /// Whether two trace instances share the same underlying
@@ -246,6 +247,11 @@ pub enum PushResult {
 
 /// Incremental trace builder implementing the shared selection rules.
 ///
+/// The instructions accepted so far sit in an inline array, so a
+/// builder — and the constructor's saved copies of one at a fork — is
+/// a plain value; completing a trace allocates only the shared
+/// instruction snapshot.
+///
 /// Both the processor's fill path and the preconstruction engine
 /// build traces through this type, which is what makes their traces
 /// *align* (identical start points ⇒ identical end points — paper
@@ -261,10 +267,10 @@ pub enum PushResult {
 /// outcome — from the dynamic stream on the fill path, from bias
 /// following during preconstruction) and feeds instructions one at a
 /// time via [`TraceBuilder::push`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceBuilder {
     start: Addr,
-    instrs: Vec<TraceInstr>,
+    instrs: PerInstr<TraceInstr>,
     outcomes: u16,
     branch_count: u8,
     last_backward_branch: Option<usize>,
@@ -278,7 +284,7 @@ impl TraceBuilder {
     pub fn new(start: Addr) -> Self {
         TraceBuilder {
             start,
-            instrs: Vec::with_capacity(MAX_TRACE_LEN),
+            instrs: PerInstr::new(),
             outcomes: 0,
             branch_count: 0,
             last_backward_branch: None,
@@ -389,7 +395,8 @@ impl TraceBuilder {
         } else {
             TraceEnd::Fallthrough
         };
-        let instrs: Arc<[TraceInstr]> = std::mem::take(&mut self.instrs).into();
+        let instrs: Arc<[TraceInstr]> = Arc::from(&self.instrs[..]);
+        self.instrs.clear();
         let key = TraceKey {
             start: instrs.first().expect("complete() only after a push").pc,
             branch_count: self.branch_count,
@@ -401,7 +408,7 @@ impl TraceBuilder {
             end,
             stop,
             successor,
-            preprocess: None,
+            annotation: None,
         }
     }
 }

@@ -1,6 +1,18 @@
 //! The executor proper.
+//!
+//! Control flow is resolved from the program's behaviour models, and
+//! each static branch or indirect jump carries dynamic state (a loop
+//! counter, a PRNG position). That state is dense: every instruction
+//! owns one `u32` slot, zero until the instruction first executes and
+//! then one past its index into a packed per-branch (or per-indirect-
+//! jump) table. A table entry is filled on first execution and caches
+//! the branch's [`OutcomeModel`] (or a reference to the jump's
+//! [`IndirectModel`]) next to its state, so executing a control
+//! instruction is two array reads — no model lookup in the program —
+//! and a program of `n` instructions pays `4n` bytes plus one entry
+//! per control instruction actually executed.
 
-use tpc_isa::model::{OutcomeState, XorShift64};
+use tpc_isa::model::{IndirectModel, OutcomeModel, OutcomeState, XorShift64};
 use tpc_isa::{Addr, Op, Program};
 
 /// Data-address space touched by loads/stores, as a power-of-two
@@ -57,8 +69,14 @@ pub struct Executor<'a> {
     pc: Addr,
     regs: [i64; tpc_isa::NUM_REGS],
     call_stack: Vec<Addr>,
-    branch_states: Vec<Option<OutcomeState>>,
-    indirect_rngs: Vec<Option<XorShift64>>,
+    /// Per instruction: 0 before its first execution, then one past
+    /// its index into `branches` (conditional branches) or
+    /// `indirects` (indirect jumps).
+    control_slot: Vec<u32>,
+    /// Model and dynamic state of each executed conditional branch.
+    branches: Vec<(OutcomeModel, OutcomeState)>,
+    /// Model and target stream of each executed indirect jump.
+    indirects: Vec<(&'a IndirectModel, XorShift64)>,
     retired: u64,
     completions: u64,
 }
@@ -71,8 +89,11 @@ impl<'a> Executor<'a> {
             pc: program.entry(),
             regs: [0; tpc_isa::NUM_REGS],
             call_stack: Vec::with_capacity(64),
-            branch_states: vec![None; program.len()],
-            indirect_rngs: vec![None; program.len()],
+            control_slot: vec![0; program.len()],
+            // Reserved, not filled: untouched capacity costs no memory,
+            // and the table never reallocates mid-run.
+            branches: Vec::with_capacity(program.branch_count()),
+            indirects: Vec::new(),
             retired: 0,
             completions: 0,
         }
@@ -112,6 +133,44 @@ impl<'a> Executor<'a> {
     fn write(&mut self, r: tpc_isa::Reg, v: i64) {
         if !r.is_zero() {
             self.regs[r.index()] = v;
+        }
+    }
+
+    /// Index into `branches` of the conditional branch at `pc`,
+    /// filling its entry on first execution.
+    #[inline]
+    fn branch_index(&mut self, pc: Addr) -> usize {
+        match self.control_slot[pc.word() as usize] {
+            0 => {
+                let model = *self
+                    .program
+                    .branch_model(pc)
+                    .expect("validated program has a model per branch");
+                self.branches.push((model, OutcomeState::new(&model)));
+                // Fewer entries than program instructions, which fit a u32.
+                self.control_slot[pc.word() as usize] = self.branches.len() as u32;
+                self.branches.len() - 1
+            }
+            slot => slot as usize - 1,
+        }
+    }
+
+    /// Index into `indirects` of the indirect jump at `pc`, filling
+    /// its entry on first execution.
+    #[inline]
+    fn indirect_index(&mut self, pc: Addr) -> usize {
+        match self.control_slot[pc.word() as usize] {
+            0 => {
+                let model = self
+                    .program
+                    .indirect_model(pc)
+                    .expect("validated program has a model per indirect jump");
+                self.indirects.push((model, XorShift64::new(model.seed())));
+                // Fewer entries than program instructions, which fit a u32.
+                self.control_slot[pc.word() as usize] = self.indirects.len() as u32;
+                self.indirects.len() - 1
+            }
+            slot => slot as usize - 1,
         }
     }
 
@@ -196,12 +255,8 @@ impl<'a> Executor<'a> {
                 mem_addr = Some(ea);
             }
             Op::Branch { target, .. } => {
-                let model = self
-                    .program
-                    .branch_model(pc)
-                    .expect("validated program has a model per branch");
-                let state = self.branch_states[pc.word() as usize]
-                    .get_or_insert_with(|| OutcomeState::new(model));
+                let i = self.branch_index(pc);
+                let (model, state) = &mut self.branches[i];
                 taken = state.next_outcome(model);
                 if taken {
                     next_pc = target;
@@ -223,12 +278,8 @@ impl<'a> Executor<'a> {
                 }
             }
             Op::IndirectJump { .. } => {
-                let model = self
-                    .program
-                    .indirect_model(pc)
-                    .expect("validated program has a model per indirect jump");
-                let rng = self.indirect_rngs[pc.word() as usize]
-                    .get_or_insert_with(|| XorShift64::new(model.seed()));
+                let i = self.indirect_index(pc);
+                let (model, rng) = &mut self.indirects[i];
                 next_pc = model.select(rng);
             }
             Op::Halt => {

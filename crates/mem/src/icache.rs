@@ -86,9 +86,11 @@ pub struct InstrCache {
     tags: SetAssocCache,
     config: InstrCacheConfig,
     stats: IcacheStats,
-    /// Lines whose most recent fill was performed by the
-    /// preconstruction engine (tracked for Table-3-style attribution).
-    precon_filled: std::collections::BTreeSet<u64>,
+    /// Per tag-array slot: whether the line in it was filled by the
+    /// preconstruction engine (tracked for Table-3-style
+    /// attribution). Every fill rewrites its slot's flag, so an
+    /// evicted line's flag never outlives it.
+    precon_filled: Vec<bool>,
 }
 
 impl InstrCache {
@@ -100,11 +102,12 @@ impl InstrCache {
     /// multiple of `ways × 64`).
     pub fn new(config: InstrCacheConfig) -> Self {
         let lines = config.size_bytes / 64;
+        let geometry = CacheGeometry::with_entries(lines, config.ways);
         InstrCache {
-            tags: SetAssocCache::new(CacheGeometry::with_entries(lines, config.ways)),
+            tags: SetAssocCache::new(geometry),
             config,
             stats: IcacheStats::default(),
-            precon_filled: std::collections::BTreeSet::new(),
+            precon_filled: vec![false; geometry.entries() as usize],
         }
     }
 
@@ -116,14 +119,17 @@ impl InstrCache {
     /// Fetches the line containing `addr`, filling it on a miss.
     pub fn fetch(&mut self, addr: Addr, kind: AccessKind) -> FetchResult {
         let line = line_of(addr);
-        let hit = self.tags.access(line);
+        let hit_slot = self.tags.access_slot(line);
+        let hit = hit_slot.is_some();
         match kind {
             AccessKind::Demand => {
                 self.stats.demand_accesses += 1;
-                if !hit {
-                    self.stats.demand_misses += 1;
-                } else if self.precon_filled.contains(&line) {
-                    self.stats.demand_hits_on_precon_lines += 1;
+                match hit_slot {
+                    None => self.stats.demand_misses += 1,
+                    Some(slot) if self.precon_filled[slot] => {
+                        self.stats.demand_hits_on_precon_lines += 1;
+                    }
+                    Some(_) => {}
                 }
             }
             AccessKind::Precon => {
@@ -134,13 +140,8 @@ impl InstrCache {
             }
         }
         if !hit {
-            if let Some(evicted) = self.tags.fill(line) {
-                self.precon_filled.remove(&evicted);
-            }
-            match kind {
-                AccessKind::Precon => self.precon_filled.insert(line),
-                AccessKind::Demand => self.precon_filled.remove(&line),
-            };
+            let (slot, _evicted) = self.tags.fill_slot(line);
+            self.precon_filled[slot] = kind == AccessKind::Precon;
         }
         FetchResult {
             hit,

@@ -132,19 +132,26 @@ impl TableEntry {
 
 /// The hybrid path-based next-trace predictor.
 ///
-/// Drive it with [`NextTracePredictor::predict`] (read-only) and
-/// [`NextTracePredictor::observe`] once the actual next trace is
-/// known. History is advanced with *actual* trace identities — the
-/// standard trace-driven simplification: real hardware advances
-/// speculatively and repairs on mispredictions, converging to the
-/// same history contents on the correct path.
+/// Drive it with [`NextTracePredictor::observe`] once the actual next
+/// trace is known; it reports whether [`NextTracePredictor::predict`]
+/// (read-only) would have named that trace. History is advanced with
+/// *actual* trace identities — the standard trace-driven
+/// simplification: real hardware advances speculatively and repairs
+/// on mispredictions, converging to the same history contents on the
+/// correct path.
 #[derive(Debug, Clone)]
 pub struct NextTracePredictor {
     config: NtpConfig,
     primary: Vec<TableEntry>,
     secondary: Vec<TableEntry>,
     history: VecDeque<TraceKey>,
+    /// Return history stack: a ring of `rhs_depth` histories,
+    /// allocated up front and refilled in place, whose `rhs_len` live
+    /// entries end just below `rhs_top`. Pushing onto a full stack
+    /// overwrites the oldest entry.
     rhs: Vec<VecDeque<TraceKey>>,
+    rhs_top: usize,
+    rhs_len: usize,
     stats: NtpStats,
 }
 
@@ -156,7 +163,11 @@ impl NextTracePredictor {
             primary: vec![TableEntry::EMPTY; 1usize << config.table_bits],
             secondary: vec![TableEntry::EMPTY; 1usize << config.secondary_bits],
             history: VecDeque::with_capacity(config.history_depth + 1),
-            rhs: Vec::with_capacity(config.rhs_depth),
+            rhs: (0..config.rhs_depth)
+                .map(|_| VecDeque::with_capacity(config.history_depth + 1))
+                .collect(),
+            rhs_top: 0,
+            rhs_len: 0,
             stats: NtpStats::default(),
         }
     }
@@ -181,9 +192,12 @@ impl NextTracePredictor {
     /// Predicts the next trace, or `None` when both tables are cold
     /// for the current path.
     pub fn predict(&self) -> Option<TraceKey> {
-        let p = &self.primary[self.primary_index()];
-        let s = self
-            .secondary_index()
+        self.predict_at(self.primary_index(), self.secondary_index())
+    }
+
+    fn predict_at(&self, primary: usize, secondary: Option<usize>) -> Option<TraceKey> {
+        let p = &self.primary[primary];
+        let s = secondary
             .map(|i| &self.secondary[i])
             .unwrap_or(&TableEntry::EMPTY);
         // Hybrid selection: the correlating table wins unless the
@@ -197,45 +211,49 @@ impl NextTracePredictor {
     }
 
     /// Trains with the actual next trace and advances the path
-    /// history (and return history stack, per `end`).
-    pub fn observe(&mut self, actual: TraceKey, end: TraceEnd) {
-        match self.predict() {
-            Some(pred) => {
-                self.stats.predictions += 1;
-                if pred == actual {
-                    self.stats.correct += 1;
-                }
-            }
-            None => self.stats.no_prediction += 1,
-        }
+    /// history (and return history stack, per `end`). Returns whether
+    /// the prediction [`NextTracePredictor::predict`] made before
+    /// this call was `actual`, so a caller needs no separate
+    /// `predict`. Allocates nothing.
+    pub fn observe(&mut self, actual: TraceKey, end: TraceEnd) -> bool {
         let pi = self.primary_index();
+        let si = self.secondary_index();
+        let predicted = self.predict_at(pi, si);
+        let correct = predicted == Some(actual);
+        if predicted.is_some() {
+            self.stats.predictions += 1;
+            self.stats.correct += u64::from(correct);
+        } else {
+            self.stats.no_prediction += 1;
+        }
         self.primary[pi].train(actual);
-        if let Some(si) = self.secondary_index() {
+        if let Some(si) = si {
             self.secondary[si].train(actual);
         }
 
         // Return history stack (paper Section 6, item 1): save the
         // path history across a call so post-return predictions see
         // the caller's path instead of the callee's.
+        let depth = self.rhs.len();
         match end {
-            TraceEnd::Call => {
-                if self.rhs.len() == self.config.rhs_depth {
-                    self.rhs.remove(0);
-                }
-                self.rhs.push(self.history.clone());
+            TraceEnd::Call if depth > 0 => {
+                self.rhs[self.rhs_top].clone_from(&self.history);
+                self.rhs_top = (self.rhs_top + 1) % depth;
+                self.rhs_len = (self.rhs_len + 1).min(depth);
             }
-            TraceEnd::Return => {
-                if let Some(saved) = self.rhs.pop() {
-                    self.history = saved;
-                }
+            TraceEnd::Return if self.rhs_len > 0 => {
+                self.rhs_top = (self.rhs_top + depth - 1) % depth;
+                self.rhs_len -= 1;
+                std::mem::swap(&mut self.history, &mut self.rhs[self.rhs_top]);
             }
-            TraceEnd::Fallthrough => {}
+            _ => {}
         }
 
         self.history.push_back(actual);
         while self.history.len() > self.config.history_depth {
             self.history.pop_front();
         }
+        correct
     }
 
     /// Accuracy counters.
@@ -346,6 +364,57 @@ mod tests {
         p.observe(callee, TraceEnd::Fallthrough);
         p.observe(ret_tr, TraceEnd::Return);
         assert_eq!(p.predict(), Some(after));
+    }
+
+    #[test]
+    fn observe_reports_whether_predict_was_right() {
+        let mut p = NextTracePredictor::new(NtpConfig::default());
+        let seq = [key(0, 0, 0), key(16, 1, 1), key(32, 0, 0), key(16, 0, 1)];
+        for i in 0..200 {
+            let k = seq[i % seq.len()];
+            let predicted = p.predict() == Some(k);
+            assert_eq!(p.observe(k, TraceEnd::Fallthrough), predicted);
+        }
+        assert!(p.stats().correct > 100, "the loop is learnt");
+    }
+
+    /// The ring keeps the `rhs_depth` most recent saved histories:
+    /// a deeper call chain loses its oldest saves, exactly as a stack
+    /// that drops its bottom entry on overflow.
+    #[test]
+    fn return_history_ring_drops_the_oldest_on_overflow() {
+        let cfg = NtpConfig {
+            history_depth: 2,
+            rhs_depth: 3,
+            ..NtpConfig::default()
+        };
+        let mut p = NextTracePredictor::new(cfg);
+        let mut reference: Vec<Vec<TraceKey>> = Vec::new();
+        for depth in 0..5u32 {
+            let k = key(depth * 16, 0, 0);
+            if reference.len() == cfg.rhs_depth {
+                reference.remove(0);
+            }
+            reference.push(p.history().copied().collect());
+            p.observe(k, TraceEnd::Call);
+        }
+        for i in 0..5u32 {
+            let k = key(1000 + i * 16, 0, 0);
+            // An unmatched return keeps the current history.
+            let mut expected = reference
+                .pop()
+                .unwrap_or_else(|| p.history().copied().collect());
+            p.observe(k, TraceEnd::Return);
+            expected.push(k);
+            while expected.len() > cfg.history_depth {
+                expected.remove(0);
+            }
+            assert_eq!(
+                p.history().copied().collect::<Vec<_>>(),
+                expected,
+                "return {i}"
+            );
+        }
     }
 
     #[test]

@@ -15,11 +15,20 @@
 //!   and 2 per PE (the paper's four-ported L1D);
 //! * data-cache latency — 2-cycle hits, +10-cycle perfect L2.
 //!
+//! Dependences and issue order come from the trace's dispatch
+//! annotation ([`Trace::annotation`](tpc_core::Trace::annotation)),
+//! which the trace store computes once per trace key when the trace
+//! enters the trace cache: preprocessed in the extended pipeline, the
+//! identity annotation (raw dependences, program order) otherwise.
+//! Dispatch therefore has one path and re-derives nothing per
+//! dynamic trace; only a trace that never went through a store is
+//! annotated on the spot.
+//!
 //! Every per-trace table is an inline [`PerInstr`] array (a trace
 //! holds at most 16 instructions), so a dispatch allocates nothing.
 
 use crate::stream::DynTrace;
-use tpc_core::preprocess::{latency::op_latency, trace_deps, PerInstr};
+use tpc_core::preprocess::{latency::op_latency, PerInstr, PreprocessInfo};
 use tpc_isa::OpClass;
 use tpc_mem::DataCache;
 
@@ -179,63 +188,43 @@ impl Backend {
     /// PE and returns its timing. The caller must have checked
     /// [`Backend::pe_available`].
     ///
-    /// `use_preprocess` selects whether the trace's preprocessing
-    /// annotations (if present) drive dependences and issue order.
-    pub fn dispatch(
-        &mut self,
-        dt: &DynTrace,
-        dispatch_cycle: u64,
-        use_preprocess: bool,
-    ) -> TraceTiming {
+    /// Dependences, constant folds and issue order come from the
+    /// trace's dispatch annotation; a trace without one dispatches
+    /// with [`PreprocessInfo::identity`].
+    pub fn dispatch(&mut self, dt: &DynTrace, dispatch_cycle: u64) -> TraceTiming {
         let pe = self.claim_pe(dispatch_cycle);
         let n = dt.trace.len();
         let instrs = dt.trace.instrs();
-        let info = if use_preprocess {
-            dt.trace.preprocess_info()
-        } else {
-            None
-        };
-
-        let raw_deps;
-        let deps = match info {
-            Some(i) => &i.deps,
+        let identity;
+        let info: &PreprocessInfo = match dt.trace.annotation() {
+            Some(info) => info,
             None => {
-                raw_deps = trace_deps(&dt.trace);
-                &raw_deps
+                identity = PreprocessInfo::identity(&dt.trace);
+                &identity
             }
         };
-        let order: PerInstr<u8> = match info {
-            Some(i) => i.schedule,
-            None => (0..n as u8).collect(), // n <= MAX_TRACE_LEN
-        };
-        let folded = |i: usize| info.map(|inf| inf.const_folded[i]).unwrap_or(false);
 
         // done[i]: last execution cycle of instruction i.
         let mut done = PerInstr::filled(0u64, n);
         let mut started = PerInstr::filled(0u64, n);
-        // The first writer of each register in program order: a
-        // source of instruction i is external (produced by an earlier
-        // trace) when no instruction before i writes it.
-        let mut first_writer = [usize::MAX; tpc_isa::NUM_REGS];
-        for (i, ti) in instrs.iter().enumerate().rev() {
-            if let Some(rd) = ti.op.dest() {
-                first_writer[rd.index()] = i;
-            }
-        }
 
         let earliest = dispatch_cycle + 1;
-        for &oi in &order {
+        for &oi in &info.schedule {
             let i = oi as usize;
             let op = &instrs[i].op;
             let mut ready = earliest;
-            if !folded(i) {
-                for &j in &deps[i] {
+            if !info.const_folded[i] {
+                for &j in &info.deps[i] {
                     // Producer in the same trace ⇒ same PE ⇒ bypass:
                     // consumer may execute the cycle after it is done.
                     ready = ready.max(done[j as usize] + 1);
                 }
-                for src in op.sources().iter().filter(|s| first_writer[s.index()] >= i) {
-                    let (avail, producer_pe) = self.reg_ready[src.index()];
+                // Operands produced by earlier traces.
+                let mut external = info.external_srcs[i];
+                while external != 0 {
+                    let r = external.trailing_zeros() as usize;
+                    external &= external - 1;
+                    let (avail, producer_pe) = self.reg_ready[r];
                     let penalty = if producer_pe == pe {
                         0
                     } else {
@@ -283,16 +272,11 @@ impl Backend {
             done[i] = c + lat - 1;
         }
 
-        // Publish register results for later traces.
-        let mut final_writer: [Option<usize>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-        for (i, ti) in instrs.iter().enumerate() {
+        // Publish register results for later traces: in program
+        // order, so each register ends up with its last writer's.
+        for (ti, &d) in instrs.iter().zip(&done) {
             if let Some(rd) = ti.op.dest() {
-                final_writer[rd.index()] = Some(i);
-            }
-        }
-        for (r, w) in final_writer.iter().enumerate() {
-            if let Some(i) = w {
-                self.reg_ready[r] = (done[*i] + 1, pe);
+                self.reg_ready[rd.index()] = (d + 1, pe);
             }
         }
 
@@ -351,7 +335,7 @@ mod tests {
         DynTrace {
             trace,
             mem_addrs,
-            branch_outcomes: Vec::new(),
+            branch_outcomes: PerInstr::new(),
         }
     }
 
@@ -382,7 +366,7 @@ mod tests {
                 imm: 1,
             },
         ]);
-        let t = be.dispatch(&dt, 0, false);
+        let t = be.dispatch(&dt, 0);
         // 4 ALU ops dual-issue over cycles 1–2; the terminating ret
         // (appended by the helper) takes cycle 3.
         assert_eq!(t.complete, 3);
@@ -413,7 +397,7 @@ mod tests {
                 imm: 1,
             },
         ]);
-        let t = be.dispatch(&dt, 0, false);
+        let t = be.dispatch(&dt, 0);
         // Back-to-back chain: cycles 1,2,3,4.
         assert_eq!(t.complete, 4);
     }
@@ -427,7 +411,7 @@ mod tests {
             rs1: r(9),
             imm: 1,
         }]);
-        let ta = be.dispatch(&a, 0, false);
+        let ta = be.dispatch(&a, 0);
         assert_eq!(ta.pe, 0);
         // Trace B (PE 1) reads r5: executes at done(A) + 1 + bus.
         let b = dyn_trace(&[Op::AddImm {
@@ -435,7 +419,7 @@ mod tests {
             rs1: r(5),
             imm: 1,
         }]);
-        let tb = be.dispatch(&b, 0, false);
+        let tb = be.dispatch(&b, 0);
         assert_eq!(tb.pe, 1);
         assert_eq!(tb.complete, ta.complete + 2);
     }
@@ -448,19 +432,19 @@ mod tests {
             rs1: r(9),
             imm: 1,
         }]);
-        let ta = be.dispatch(&a, 0, false);
+        let ta = be.dispatch(&a, 0);
         be.release_pe(ta.pe, ta.complete + 1);
         // Fill the other PEs so the next dispatch reuses PE 0.
         for _ in 0..3 {
             let f = dyn_trace(&[Op::Nop]);
-            be.dispatch(&f, 0, false);
+            be.dispatch(&f, 0);
         }
         let b = dyn_trace(&[Op::AddImm {
             rd: r(6),
             rs1: r(5),
             imm: 1,
         }]);
-        let tb = be.dispatch(&b, ta.complete + 1, false);
+        let tb = be.dispatch(&b, ta.complete + 1);
         assert_eq!(tb.pe, ta.pe, "round-robin returns to the freed PE");
         // Same PE: no bus delay; bounded by dispatch+1.
         assert_eq!(tb.complete, ta.complete + 2);
@@ -474,7 +458,7 @@ mod tests {
             base: r(2),
             offset: 0,
         }]);
-        let t = be.dispatch(&dt, 0, false);
+        let t = be.dispatch(&dt, 0);
         // Cold load: 1 (AGU) + 2 (hit) + 10 (L2 miss) = 13 cycles
         // starting at cycle 1 → done at 13.
         assert_eq!(t.complete, 13);
@@ -484,7 +468,7 @@ mod tests {
             base: r(2),
             offset: 0,
         }]);
-        let t2 = be.dispatch(&dt2, 0, false);
+        let t2 = be.dispatch(&dt2, 0);
         assert_eq!(t2.complete, 3);
     }
 
@@ -497,7 +481,7 @@ mod tests {
             base: r(2),
             offset: 0,
         }]);
-        be.dispatch(&warm, 0, false);
+        be.dispatch(&warm, 0);
         be.release_pe(0, 0);
         // 3 independent loads on one PE: 2 ports/PE → issue over 2 cycles.
         let dt = dyn_trace(&[
@@ -517,7 +501,7 @@ mod tests {
                 offset: 0,
             },
         ]);
-        let t = be.dispatch(&dt, 100, false);
+        let t = be.dispatch(&dt, 100);
         // First two issue at 101, third at 102 → done 102+2 = 104.
         assert_eq!(t.complete, 104);
     }
@@ -557,10 +541,10 @@ mod tests {
         let n = trace.len();
         let dt = DynTrace {
             trace,
-            mem_addrs: vec![None; n],
-            branch_outcomes: vec![false],
+            mem_addrs: PerInstr::filled(None, n),
+            branch_outcomes: PerInstr::filled(false, 1),
         };
-        let t = be.dispatch(&dt, 0, false);
+        let t = be.dispatch(&dt, 0);
         assert_eq!(t.branch_resolves.len(), 1);
         // Branch depends on the addi: resolves at cycle 2.
         assert_eq!(t.branch_resolves[0], 2);
@@ -588,14 +572,15 @@ mod tests {
                 imm: 1,
             },
         ];
-        let mut plain = dyn_trace(&ops);
-        let info = preprocess::preprocess(&plain.trace);
-        plain.trace.set_preprocess(info);
+        let plain = dyn_trace(&ops);
+        let mut annotated = plain.clone();
+        let info = preprocess::preprocess(&annotated.trace);
+        annotated.trace.set_annotation(std::sync::Arc::new(info));
 
         let mut be1 = Backend::new(BackendConfig::default());
-        let without = be1.dispatch(&plain, 0, false).complete;
+        let without = be1.dispatch(&plain, 0).complete;
         let mut be2 = Backend::new(BackendConfig::default());
-        let with = be2.dispatch(&plain, 0, true).complete;
+        let with = be2.dispatch(&annotated, 0).complete;
         assert!(
             with < without,
             "preprocessed {with} must beat unprocessed {without}"
@@ -614,7 +599,7 @@ mod tests {
         let mut be = Backend::new(BackendConfig::default());
         for _ in 0..5 {
             let dt = dyn_trace(&[Op::Nop]);
-            be.dispatch(&dt, 0, false);
+            be.dispatch(&dt, 0);
         }
     }
 }

@@ -960,10 +960,8 @@ impl<F: Frontend> Simulator<F> {
         // branches resolve and the frontend redirects.
         if !self.pending_predicted {
             self.pending_predicted = true;
-            let predicted = self.ntp.predict() == Some(key);
             let end = self.pending.as_ref().expect("set above").trace.end();
-            self.ntp.observe(key, end);
-            if !predicted {
+            if !self.ntp.observe(key, end) {
                 self.stats.ntp_mispredicts += 1;
                 let resume = (self.prev_resolve + self.config.mispredict_penalty).max(self.cycle);
                 if resume > self.cycle {
@@ -991,8 +989,8 @@ impl<F: Frontend> Simulator<F> {
                 self.pending_source = SupplySource::TraceCache;
             }
             let mut dt = self.pending.take().expect("set above");
-            if let Some(info) = fetched.preprocess {
-                dt.trace.set_preprocess_arc(info);
+            if let Some(info) = fetched.annotation {
+                dt.trace.set_annotation(info);
             }
             self.dispatch(dt);
             return FrontendActivity::Dispatched;
@@ -1086,12 +1084,11 @@ impl<F: Frontend> Simulator<F> {
             build.tail_stall = 0;
             return;
         }
-        // Build complete: fill the trace cache (which preprocesses the
-        // trace in the extended pipeline) and dispatch it.
+        // Build complete: fill the trace cache (which annotates the
+        // trace for dispatch) and dispatch it.
         let mut dt = self.slow_build.take().expect("present").dt;
-        if let Some(info) = self.store.fill_demand(dt.trace.clone()) {
-            dt.trace.set_preprocess_arc(info);
-        }
+        let info = self.store.fill_demand(dt.trace.clone());
+        dt.trace.set_annotation(info);
         self.dispatch(dt);
     }
 
@@ -1111,9 +1108,7 @@ impl<F: Frontend> Simulator<F> {
             self.seq += 1;
             self.engine.observe_dispatch(ti.pc, &ti.op, self.seq);
         }
-        let timing = self
-            .backend
-            .dispatch(&dt, self.cycle, self.config.preprocess);
+        let timing = self.backend.dispatch(&dt, self.cycle);
         self.record(SimEvent::Dispatch {
             cycle: self.cycle,
             start: dt.trace.start(),

@@ -1,5 +1,13 @@
 //! The correct-path dynamic trace stream.
+//!
+//! [`TraceStream`] chunks the retired instruction stream into the
+//! traces the processor fetches. Producing one costs exactly one heap
+//! allocation — the trace's shared instruction snapshot
+//! (`Arc<[TraceInstr]>`): the builder and the per-instruction dynamic
+//! metadata of [`DynTrace`] are inline arrays bounded by the
+//! 16-instruction trace length.
 
+use tpc_core::preprocess::PerInstr;
 use tpc_core::{PushResult, Resolution, Trace, TraceBuilder};
 use tpc_exec::{Executor, Frontend};
 use tpc_isa::{OpClass, Program};
@@ -12,10 +20,10 @@ pub struct DynTrace {
     pub trace: Trace,
     /// Effective byte address of each load/store (`None` otherwise),
     /// parallel to `trace.instrs()`.
-    pub mem_addrs: Vec<Option<u64>>,
+    pub mem_addrs: PerInstr<Option<u64>>,
     /// Resolved direction of each *conditional branch*, in trace
     /// order (parallel to the trace key's outcome bits).
-    pub branch_outcomes: Vec<bool>,
+    pub branch_outcomes: PerInstr<bool>,
 }
 
 impl DynTrace {
@@ -81,8 +89,8 @@ impl<F: Frontend> TraceStream<F> {
     pub fn next_trace(&mut self) -> DynTrace {
         let start = self.next_start;
         let mut b = TraceBuilder::new(start);
-        let mut mem_addrs = Vec::new();
-        let mut branch_outcomes = Vec::new();
+        let mut mem_addrs = PerInstr::new();
+        let mut branch_outcomes = PerInstr::new();
         loop {
             let d = self.fe.next_retired();
             self.next_start = d.next_pc;

@@ -94,7 +94,7 @@ fn build_dyn_trace(shapes: &[OpShape]) -> DynTrace {
     DynTrace {
         trace,
         mem_addrs,
-        branch_outcomes: Vec::new(),
+        branch_outcomes: tpc_core::preprocess::PerInstr::new(),
     }
 }
 
@@ -109,7 +109,7 @@ proptest! {
         let config = BackendConfig::default();
         let mut be = Backend::new(config);
         let dt = build_dyn_trace(&shapes);
-        let t = be.dispatch(&dt, dispatch, false);
+        let t = be.dispatch(&dt, dispatch);
         let n = dt.trace.len();
         prop_assert_eq!(t.exec_start.len(), n);
         prop_assert_eq!(t.exec_done.len(), n);
@@ -166,9 +166,9 @@ proptest! {
     fn preprocessing_never_breaks_dataflow(shapes in shapes()) {
         let mut dt = build_dyn_trace(&shapes);
         let info = tpc_core::preprocess::preprocess(&dt.trace);
-        dt.trace.set_preprocess(info.clone());
+        dt.trace.set_annotation(std::sync::Arc::new(info.clone()));
         let mut be = Backend::new(BackendConfig::default());
-        let t = be.dispatch(&dt, 0, true);
+        let t = be.dispatch(&dt, 0);
         for (i, d) in info.deps.iter().enumerate() {
             for &j in d {
                 prop_assert!(
