@@ -89,10 +89,10 @@ impl StaticEnumeration {
         }
 
         // Seed the closure: push points, plus the mod-4 alignment
-        // lattice the engine seeds loop-exit regions with when
-        // `lattice_seed_loop_exits` is on. Including the lattice
-        // unconditionally over-approximates the default configuration
-        // — sound for a conformance set.
+        // lattice past each loop exit. The engine seeds a loop-exit
+        // region only at the fall-through itself, so the lattice
+        // over-approximates what it can start at — sound for a
+        // conformance set.
         let mut seeds: BTreeSet<u32> = call_return_points.clone();
         for &p in &loop_exit_points {
             for k in 0..ALIGN_QUANTUM as u32 {

@@ -25,8 +25,30 @@ use tpc_isa::{Addr, Op, OpClass, Program};
 use tpc_mem::{AccessKind, InstrCache, PrefetchCache};
 use tpc_predict::{Bimodal, TraceKey};
 
+/// Prefetch caches, and so the most regions explored at once (paper
+/// Section 4.1: four).
+const PREFETCH_CACHES: usize = 4;
+
+/// Start-point stack entries reserved for completed regions, on top
+/// of [`EngineConfig::stack_depth`] (paper Section 4.1: a 16-entry
+/// stack plus 4 completed-region entries).
+const COMPLETED_ENTRIES: usize = 4;
+
+/// Instructions one constructor decodes per cycle (paper Section 4.1).
+const DECODE_WIDTH: u32 = 4;
+
+/// Trace start points one region's worklist can hold: an
+/// implementation bound beside the paper's Section 4.1 sizes.
+const WORKLIST_CAP: usize = 8;
+
+/// I-cache lines the engine may fetch per idle cycle: the single
+/// slow-path port when the slow path leaves it idle (paper Sections 2
+/// and 4.1).
+const FETCH_WIDTH: u32 = 1;
+
 /// Configuration of the preconstruction engine. Defaults are the
-/// paper's (Section 4.1) with a 256-entry buffer.
+/// paper's (Section 4.1) with a 256-entry buffer; the structure sizes
+/// no experiment varies are constants of this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Master switch; a disabled engine does nothing and holds no
@@ -36,34 +58,18 @@ pub struct EngineConfig {
     /// engine does not allocate these itself — the processor sizes
     /// its [`crate::storage::SplitStore`] from this field.
     pub buffer_entries: u32,
-    /// Number of prefetch caches = maximum concurrently-active
-    /// regions.
-    pub prefetch_caches: usize,
     /// Parallel trace constructors.
     pub constructors: usize,
     /// Capacity of each prefetch cache, in instructions.
     pub prefetch_capacity: u32,
     /// Region start-point stack depth.
     pub stack_depth: usize,
-    /// Reserved completed-region entries on the stack.
-    pub completed_entries: usize,
     /// Per-constructor internal decision-stack depth.
     pub decision_depth: usize,
-    /// Instructions a constructor can decode per cycle.
-    pub decode_width: u32,
-    /// Trace start points a region worklist can hold.
-    pub worklist_cap: usize,
-    /// Seed loop-exit regions at all four phases of the mod-4
-    /// alignment lattice instead of only the branch fall-through.
-    /// Costs extra fetch/buffer resources; measured as an ablation.
-    pub lattice_seed_loop_exits: bool,
     /// Remember the identity of every trace ever constructed
     /// (diagnostic; lets the simulator classify trace-cache misses
     /// into never-built vs. built-but-lost).
     pub track_built_keys: bool,
-    /// I-cache lines the engine may fetch per idle cycle (the paper
-    /// uses the single idle slow-path port: 1).
-    pub fetch_width: u32,
     /// Record every start-point push and constructed trace into an
     /// activity log drained via [`PreconEngine::take_activity`]
     /// (conformance checking against the static enumeration; off in
@@ -76,17 +82,11 @@ impl Default for EngineConfig {
         EngineConfig {
             enabled: true,
             buffer_entries: 256,
-            prefetch_caches: 4,
             constructors: 4,
             prefetch_capacity: 256,
             stack_depth: 16,
-            completed_entries: 4,
             decision_depth: 3,
-            decode_width: 4,
-            worklist_cap: 8,
-            lattice_seed_loop_exits: false,
             track_built_keys: false,
-            fetch_width: 1,
             record_activity: false,
         }
     }
@@ -195,8 +195,8 @@ impl PreconEngine {
     /// cache.
     pub fn new(config: EngineConfig) -> Self {
         PreconEngine {
-            stack: StartPointStack::new(config.stack_depth.max(1), config.completed_entries),
-            regions: (0..config.prefetch_caches).map(|_| None).collect(),
+            stack: StartPointStack::new(config.stack_depth.max(1), COMPLETED_ENTRIES),
+            regions: (0..PREFETCH_CACHES).map(|_| None).collect(),
             constructors: (0..config.constructors)
                 .map(|_| TraceConstructor::new(config.decision_depth))
                 .collect(),
@@ -246,21 +246,21 @@ impl PreconEngine {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.stack.check_invariants()?;
         if self.stack.depth() != self.config.stack_depth.max(1)
-            || self.stack.completed_capacity() != self.config.completed_entries
+            || self.stack.completed_capacity() != COMPLETED_ENTRIES
         {
             return Err(format!(
                 "start stack shape {}+{} differs from configured {}+{}",
                 self.stack.depth(),
                 self.stack.completed_capacity(),
                 self.config.stack_depth.max(1),
-                self.config.completed_entries
+                COMPLETED_ENTRIES
             ));
         }
-        if self.regions.len() != self.config.prefetch_caches {
+        if self.regions.len() != PREFETCH_CACHES {
             return Err(format!(
-                "{} region slots but {} prefetch caches configured",
+                "{} region slots but {} prefetch caches",
                 self.regions.len(),
-                self.config.prefetch_caches
+                PREFETCH_CACHES
             ));
         }
         for (c, a) in self.assignment.iter().enumerate() {
@@ -272,16 +272,13 @@ impl PreconEngine {
                 }
             }
         }
-        // Lattice seeding may plant up to ALIGN_QUANTUM initial
-        // entries, so the bound is the max of the two.
-        let worklist_bound = self.config.worklist_cap.max(crate::trace::ALIGN_QUANTUM);
         for region in self.regions.iter().flatten() {
-            if region.worklist.len() > worklist_bound {
+            if region.worklist.len() > WORKLIST_CAP {
                 return Err(format!(
                     "region {} worklist holds {} entries, cap is {}",
                     region.id,
                     region.worklist.len(),
-                    worklist_bound
+                    WORKLIST_CAP
                 ));
             }
         }
@@ -366,7 +363,7 @@ impl PreconEngine {
         self.activate_regions();
         self.land_pending_fetches(cycle);
         if slow_path_idle {
-            for _ in 0..self.config.fetch_width {
+            for _ in 0..FETCH_WIDTH {
                 self.issue_line_fetch(cycle, icache);
             }
         }
@@ -381,32 +378,12 @@ impl PreconEngine {
                 continue;
             }
             let Some(sp) = self.stack.pop() else { break };
-            // Loop-exit regions are seeded at all four phases of the
-            // mod-4 alignment lattice: the processor's trace that
-            // straddles the loop exit ends a multiple of four
-            // instructions past the backward branch, so its next
-            // trace starts at `addr + 4k` for some k — seeding every
-            // phase guarantees one seed lands on the lattice the
-            // processor will actually use (paper Section 2.2).
-            let seeds: Vec<Addr> = match sp.reason {
-                crate::start_stack::StartReason::LoopExit
-                    if self.config.lattice_seed_loop_exits =>
-                {
-                    (0..crate::trace::ALIGN_QUANTUM as u32)
-                        .map(|k| sp.addr + k * crate::trace::ALIGN_QUANTUM as u32)
-                        .collect()
-                }
-                _ => vec![sp.addr],
-            };
-            let mut seen = seeds.clone();
-            seen.sort_unstable();
-            seen.dedup();
             *slot = Some(Region {
                 id: self.next_region_id,
                 start: sp.addr,
                 prefetch: PrefetchCache::new(self.config.prefetch_capacity),
-                worklist: VecDeque::from(seeds),
-                seen,
+                worklist: VecDeque::from([sp.addr]),
+                seen: vec![sp.addr],
                 want_line: None,
                 pending: None,
             });
@@ -450,7 +427,7 @@ impl PreconEngine {
         }
     }
 
-    /// Steps every constructor up to `decode_width` instructions.
+    /// Steps every constructor up to [`DECODE_WIDTH`] instructions.
     fn run_constructors(
         &mut self,
         program: &Program,
@@ -462,7 +439,7 @@ impl PreconEngine {
                 self.stalls[c] -= 1;
                 continue;
             }
-            let mut budget = self.config.decode_width;
+            let mut budget = DECODE_WIDTH;
             while budget > 0 {
                 // (Re)assign idle constructors to the newest region
                 // with pending work.
@@ -530,7 +507,7 @@ impl PreconEngine {
             region_id = region.id;
             if let Some(succ) = trace.successor() {
                 if let Err(at) = region.seen.binary_search(&succ) {
-                    if region.worklist.len() < self.config.worklist_cap {
+                    if region.worklist.len() < WORKLIST_CAP {
                         region.seen.insert(at, succ);
                         region.worklist.push_back(succ);
                     } else {
@@ -892,9 +869,12 @@ mod tests {
 
     #[test]
     fn region_seen_lists_stay_sorted_and_cover_the_worklist() {
-        // A loop exit seeded at all four lattice phases starts the
-        // region with four `seen` entries; successors found later are
-        // inserted in order, and every queued start point is in it.
+        // The loop exit opens one region at a weakly biased branch
+        // that jumps far ahead. The constructor forks both paths; the
+        // taken path's successor lands first, and the fall-through
+        // path's successors are then inserted below it. `seen` grows
+        // past ALIGN_QUANTUM entries from the single seed, stays
+        // sorted, and holds every queued start point.
         let mut b = ProgramBuilder::new();
         let top = b.push(Op::AddImm {
             rd: r(1),
@@ -910,7 +890,20 @@ mod tests {
             },
             OutcomeModel::Loop { trip: 10 },
         );
-        for _ in 0..40 {
+        b.push_branch(
+            Op::Branch {
+                cond: BranchCond::Ne,
+                rs1: r(3),
+                rs2: r(4),
+                target: Addr::new(80),
+            },
+            OutcomeModel::Biased {
+                num: 1,
+                denom: 2,
+                seed: 7,
+            },
+        );
+        for _ in 0..96 {
             b.push(Op::AddImm {
                 rd: r(3),
                 rs1: r(3),
@@ -919,14 +912,13 @@ mod tests {
         }
         b.push(Op::Halt);
         let p = b.build().unwrap();
-        let mut e = PreconEngine::new(EngineConfig {
-            lattice_seed_loop_exits: true,
-            ..EngineConfig::default()
-        });
+        let mut e = PreconEngine::new(EngineConfig::default());
         let br_pc = Addr::new(1);
         e.observe_dispatch(br_pc, p.fetch(br_pc).unwrap(), 1);
         let (mut ic, bim, mut store) = harness();
         let mut largest = 0;
+        let mut inserted_mid_list = false;
+        let mut last_seen: Vec<Addr> = Vec::new();
         for cycle in 0..300 {
             e.tick(cycle, true, &p, &mut ic, &bim, &mut store);
             for region in e.regions.iter().flatten() {
@@ -935,10 +927,17 @@ mod tests {
                     .worklist
                     .iter()
                     .all(|a| region.seen.binary_search(a).is_ok()));
+                // Grown without a new maximum: inserted mid-list.
+                inserted_mid_list |= region.seen.len() > last_seen.len()
+                    && region.seen.first() == last_seen.first()
+                    && region.seen.last() == last_seen.last();
                 largest = largest.max(region.seen.len());
+                last_seen.clone_from(&region.seen);
             }
         }
-        assert!(largest > ALIGN_QUANTUM, "successors joined the seeds");
+        assert_eq!(e.stats().regions_started, 1, "one region explored");
+        assert!(largest > ALIGN_QUANTUM, "successors joined the seed");
+        assert!(inserted_mid_list, "a successor below the newest one");
         assert!(e.stats().traces_built > ALIGN_QUANTUM as u64);
     }
 

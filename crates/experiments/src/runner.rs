@@ -9,7 +9,7 @@ use tpc_workloads::{Benchmark, WorkloadBuilder};
 /// The paper runs 200 M instructions per benchmark; synthetic
 /// workloads reach steady state far sooner (phase periods are
 /// 30k–130k instructions), so the defaults measure 500k after a 200k
-/// warm-up. `RunParams::quick` is used by smoke tests and Criterion.
+/// warm-up. `RunParams::quick` is used by smoke tests and `--quick`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunParams {
     /// Instructions executed before counters reset.

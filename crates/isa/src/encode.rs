@@ -375,74 +375,4 @@ mod tests {
     fn nop_is_not_all_zero() {
         assert_ne!(encode(&Op::Nop).unwrap(), 0);
     }
-
-    #[cfg(feature = "proptest-tests")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn arb_reg() -> impl Strategy<Value = Reg> {
-            (0u8..32).prop_map(Reg::new)
-        }
-
-        fn arb_op() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| Op::Add {
-                    rd,
-                    rs1,
-                    rs2
-                }),
-                (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| Op::Xor {
-                    rd,
-                    rs1,
-                    rs2
-                }),
-                (arb_reg(), arb_reg(), 0u8..32).prop_map(|(rd, rs1, shamt)| Op::Shl {
-                    rd,
-                    rs1,
-                    shamt
-                }),
-                (arb_reg(), arb_reg(), -32768i32..=32767).prop_map(|(rd, rs1, imm)| Op::AddImm {
-                    rd,
-                    rs1,
-                    imm
-                }),
-                (arb_reg(), -(1i32 << 20)..(1i32 << 20))
-                    .prop_map(|(rd, imm)| Op::LoadImm { rd, imm }),
-                (arb_reg(), arb_reg(), -32768i32..=32767).prop_map(|(rd, base, offset)| Op::Load {
-                    rd,
-                    base,
-                    offset
-                }),
-                (arb_reg(), arb_reg(), -32768i32..=32767)
-                    .prop_map(|(src, base, offset)| Op::Store { src, base, offset }),
-                (0usize..4, arb_reg(), arb_reg(), 0u32..65536).prop_map(|(c, rs1, rs2, t)| {
-                    Op::Branch {
-                        cond: BranchCond::ALL[c],
-                        rs1,
-                        rs2,
-                        target: Addr::new(t),
-                    }
-                }),
-                (0u32..(1 << 26)).prop_map(|t| Op::Jump {
-                    target: Addr::new(t)
-                }),
-                (0u32..(1 << 26)).prop_map(|t| Op::Call {
-                    target: Addr::new(t)
-                }),
-                Just(Op::Return),
-                arb_reg().prop_map(|rs1| Op::IndirectJump { rs1 }),
-                Just(Op::Halt),
-                Just(Op::Nop),
-            ]
-        }
-
-        proptest! {
-            #[test]
-            fn encode_decode_roundtrip(op in arb_op()) {
-                let word = encode(&op).expect("all generated ops are in range");
-                prop_assert_eq!(decode(word).expect("valid word"), op);
-            }
-        }
-    }
 }

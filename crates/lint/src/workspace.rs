@@ -94,9 +94,9 @@ fn rel_str(root: &Path, path: &Path) -> String {
 }
 
 /// Production sources the rules run over: `crates/*/src/**/*.rs`
-/// plus the root `src/`. Integration tests, examples, and the
-/// vendored dependency stubs are excluded — they are test-side code
-/// with no production determinism obligations.
+/// plus the root `src/`. Integration tests and examples are excluded
+/// — they are test-side code with no production determinism
+/// obligations.
 pub fn lint_file_paths(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut out = Vec::new();
     let crates = root.join("crates");
@@ -113,11 +113,11 @@ pub fn lint_file_paths(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(out)
 }
 
-/// Every `.rs` file in the repo — production, tests, examples, and
-/// vendored stubs — for the lexer round-trip suite.
+/// Every `.rs` file in the repo — production, tests and examples —
+/// for the lexer round-trip suite.
 pub fn all_rust_file_paths(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut out = Vec::new();
-    for top in ["crates", "src", "tests", "examples", "vendor"] {
+    for top in ["crates", "src", "tests", "examples"] {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs(&dir, &mut out)?;
@@ -180,7 +180,7 @@ mod tests {
             .any(|r| r == "crates/processor/src/simulator.rs"));
         assert!(rels.iter().any(|r| r == "crates/service/src/server.rs"));
         assert!(rels.iter().any(|r| r == "crates/lint/src/lexer.rs"));
-        assert!(!rels.iter().any(|r| r.starts_with("vendor/")));
+        assert!(!rels.iter().any(|r| r.starts_with("tests/")));
         let mut sorted = rels.clone();
         sorted.sort();
         assert_eq!(rels, sorted, "discovery order must be deterministic");

@@ -193,15 +193,20 @@ pub struct SimStats {
     pub misses_previously_built: u64,
     /// Instruction-cache counters.
     pub icache: IcacheStats,
-    /// Preconstruction-engine counters.
+    /// Preconstruction-engine counters. Cumulative since the
+    /// simulator was built: [`Simulator::reset_stats`] does not zero
+    /// them, so after a warmup they include the warmup's work.
     pub engine: EngineStats,
     /// Trace-storage counters (trace cache + preconstruction side).
     pub store: StoreCounters,
     /// Frontend cycle attribution.
     pub frontend: FrontendBreakdown,
-    /// Data-cache counters.
+    /// Data-cache counters. Cumulative since the simulator was built,
+    /// like [`SimStats::engine`].
     pub dcache: DataCacheStats,
     /// Fault-injection counters (all zero when no plan is attached).
+    /// Cumulative since the simulator was built, like
+    /// [`SimStats::engine`].
     pub faults: FaultStats,
 }
 
@@ -814,19 +819,22 @@ impl<F: Frontend> Simulator<F> {
         s
     }
 
-    /// Zeroes all counters (contents of caches and predictors are
-    /// preserved).
+    /// Starts a measurement window (called after warmup). Zeroes
+    /// every [`SimStats`] counter the simulator keeps itself — the
+    /// top-level counters from `cycles` to `misses_previously_built`
+    /// and the `frontend` breakdown — plus the `icache` and `store`
+    /// counters.
+    ///
+    /// The `engine`, `dcache` and `faults` counters are *not* reset:
+    /// they stay cumulative since construction, warmup included. The
+    /// paper's figures and tables read only counters that reset; the
+    /// degradation report's fault counts span warmup and measurement.
+    /// Cache, buffer and predictor contents are preserved.
     pub fn reset_stats(&mut self) {
         self.carried_traces = self.inflight.len() as u64 + u64::from(self.slow_build.is_some());
         self.stats = SimStats::default();
         self.icache.reset_stats();
         self.store.reset_counters();
-        // Engine and dcache stats are cumulative; snapshot-subtract.
-        // For simplicity the engine's counters keep accumulating: the
-        // quantities derived from them (Figure 5, Tables 1–3) are all
-        // measured through the simulator's own counters, which do
-        // reset.
-        self.stats.cycles = 0;
     }
 
     /// Advances one cycle.

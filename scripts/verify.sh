@@ -5,6 +5,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== no feature-gated code: no [features] table, no cfg(feature =="
+# Code behind a cargo feature is compiled by no default build and
+# tested by no gate, so it rots unseen. Fail on any gate or feature
+# table in the workspace (perfbench/ is a separate workspace).
+gated="$(grep -rn --include='*.rs' 'cfg(feature' crates src tests examples || true)"
+features="$(grep -ln '^\[features\]' Cargo.toml crates/*/Cargo.toml || true)"
+if [ -n "$gated$features" ]; then
+  printf '%s\n' "$gated" "$features" | sed '/^$/d'
+  echo "verify: feature-gated code found (see above)" >&2
+  exit 1
+fi
+
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
 

@@ -2,11 +2,13 @@
 //! system-level invariants must hold for *every* seed, not just the
 //! calibrated profiles' defaults.
 //!
-//! These run offline with an in-tree seeded PRNG driving the case
-//! generation (no `proptest` dependency), so they are part of the
-//! default `cargo test` run. Each property samples a fixed number of
+//! Cases come from the shared seeded case runner in `common` (no
+//! `proptest` dependency), so these are part of the default
+//! `cargo test` run. Each property samples a fixed number of
 //! (benchmark, seed, shape) cases deterministically; a failure prints
-//! the exact case triple for reproduction.
+//! the case index and seed plus the (benchmark, seed) pair.
+
+mod common;
 
 use trace_preconstruction::core::MAX_TRACE_LEN;
 use trace_preconstruction::exec::Executor;
@@ -20,15 +22,13 @@ const CASES: u32 = 12;
 const SMALL_BENCHMARKS: [Benchmark; 3] = [Benchmark::Compress, Benchmark::Ijpeg, Benchmark::Li];
 
 /// Draws `CASES` deterministic (benchmark, seed) cases and hands each
-/// one (plus a forked PRNG for extra shape parameters) to `check`.
+/// one (plus the case's PRNG for extra shape parameters) to `check`.
 fn for_each_case(stream_seed: u64, mut check: impl FnMut(Benchmark, u64, &mut XorShift64)) {
-    let mut rng = XorShift64::new(stream_seed);
-    for _ in 0..CASES {
+    common::for_each_case(stream_seed, CASES, |rng| {
         let benchmark = SMALL_BENCHMARKS[rng.next_below(SMALL_BENCHMARKS.len() as u32) as usize];
         let seed = rng.next_below(1_000) as u64;
-        let mut case_rng = rng.fork();
-        check(benchmark, seed, &mut case_rng);
-    }
+        check(benchmark, seed, rng);
+    });
 }
 
 /// Generated programs always validate and execute indefinitely.
